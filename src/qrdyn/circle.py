@@ -9,15 +9,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MapParams, arg_h, circle_dist, normalize_angle
-from .errors import ResourceLimit
+from .errors import InvalidParameter, ResourceLimit
 
 MAX_TREE_DEPTH = 20
 DEDUP_TOL = 1e-13
+FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi
 
 
 def circle_map(p: MapParams, phi: float) -> float:
     """Angle of H(e^{i phi}), reduced to (-pi, pi]."""
     return normalize_angle(2.0 * arg_h(p, phi))
+
+
+def require_fixed_angle(p: MapParams, phi: float) -> None:
+    """Raise InvalidParameter unless H~(phi) is within FIXED_RESIDUAL of phi."""
+    resid = circle_dist(circle_map(p, phi), phi)
+    if resid > FIXED_RESIDUAL:
+        raise InvalidParameter(
+            f"phi={phi!r} is not a fixed angle of the circle map at K={p.K!r}, "
+            f"theta={p.theta!r}: residual {resid:.3e} > {FIXED_RESIDUAL}")
 
 
 def circle_map_lift(p: MapParams, phi: float) -> float:

@@ -44,25 +44,29 @@ def _angle(args, x):
     return math.radians(x) if args.degrees else x
 
 
-def _params_from_args(args):
-    if args.mu is not None:
-        if args.K is not None or args.theta is not None:
-            raise InvalidParameter("give either --mu or --K/--theta, not both")
-        re, im = _parse_pair(args.mu, "--mu")
-        return params_of_mu(complex(re, im))
-    if args.K is None or args.theta is None:
-        raise InvalidParameter("need --K and --theta (or --mu)")
-    return make_params(args.K, _angle(args, args.theta))
+def _params_from_args(args, suffix=""):
+    """The map given by --K/--theta or --mu; suffix "2" reads the second
+    map's --K2/--theta2/--mu2."""
+    K, theta, mu = (getattr(args, name + suffix) for name in ("K", "theta", "mu"))
+    if mu is not None:
+        if K is not None or theta is not None:
+            raise InvalidParameter(
+                f"give either --mu{suffix} or --K{suffix}/--theta{suffix}, not both")
+        return params_of_mu(complex(*_parse_floats(mu, f"--mu{suffix}", "RE,IM")))
+    if K is None or theta is None:
+        raise InvalidParameter(f"need --K{suffix} and --theta{suffix} (or --mu{suffix})")
+    return make_params(K, _angle(args, theta))
 
 
-def _parse_pair(text, flag):
+def _parse_floats(text, flag, metavar):
+    """The comma-separated numbers of a flag, as many as metavar names."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidParameter(f"{flag} expects RE,IM")
+    if len(parts) != len(metavar.split(",")):
+        raise InvalidParameter(f"{flag} expects {metavar}")
     try:
-        return float(parts[0]), float(parts[1])
+        return tuple(float(x) for x in parts)
     except ValueError:
-        raise InvalidParameter(f"{flag} expects two numbers, got {text!r}")
+        raise InvalidParameter(f"{flag} expects numbers {metavar}, got {text!r}")
 
 
 def _run_config(args):
@@ -129,8 +133,7 @@ def cmd_orbit(args):
 def cmd_growth(args):
     p = _params_from_args(args)
     if args.z is not None:
-        re, im = _parse_pair(args.z, "--z")
-        target = complex(re, im)
+        target = complex(*_parse_floats(args.z, "--z", "RE,IM"))
     elif args.phi is not None:
         target = _angle(args, args.phi)
     else:
@@ -168,33 +171,17 @@ def cmd_basin(args):
 
 def cmd_render(args):
     p = _params_from_args(args)
-    xmin, xmax, ymin, ymax = _parse_window(args.window)
-    w = Window.from_bounds(xmin, xmax, ymin, ymax)
+    w = Window.from_bounds(*_parse_floats(args.window, "--window",
+                                          "XMIN,XMAX,YMIN,YMAX"))
     grid = render_grid(p, w, args.res, args.max_iter)
     write_ppm(grid, args.out)
     write_stats(grid, p, args.out + ".json")
     return 0
 
 
-def _parse_window(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InvalidParameter("--window expects XMIN,XMAX,YMIN,YMAX")
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError:
-        raise InvalidParameter(f"--window expects numbers, got {text!r}")
-
-
 def cmd_obstruct(args):
     p1 = _params_from_args(args)
-    if args.mu2 is not None:
-        re, im = _parse_pair(args.mu2, "--mu2")
-        p2 = params_of_mu(complex(re, im))
-    elif args.K2 is not None and args.theta2 is not None:
-        p2 = make_params(args.K2, _angle(args, args.theta2))
-    else:
-        raise InvalidParameter("need --K2 and --theta2 (or --mu2)")
+    p2 = _params_from_args(args, suffix="2")
     v = obstruction_report(p1, p2, tol=args.tol)
     d = v.to_dict()
     rows = [(d["verdict"], d["reason"])]

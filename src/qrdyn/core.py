@@ -56,10 +56,6 @@ def make_params(K: float, theta: float) -> MapParams:
     return MapParams(K=float(K), theta=t, mu=mu)
 
 
-def mu_of_params(p: MapParams) -> complex:
-    return p.mu
-
-
 def params_of_mu(mu: complex) -> MapParams:
     """Invert mu = e^{2 i theta}(K-1)/(K+1); requires 0 < |mu| < 1."""
     m = abs(mu)
@@ -72,13 +68,14 @@ def params_of_mu(mu: complex) -> MapParams:
     return make_params(K, theta)
 
 
-def eval_h(p: MapParams, z: complex) -> complex:
-    """The affine stretch by K in direction e^{i theta}."""
-    return 0.5 * (p.K + 1.0) * z + p.mu * 0.5 * (p.K + 1.0) * z.conjugate()
+def eval_h(p: MapParams, z):
+    """The affine stretch by K in direction e^{i theta}; z is a complex
+    number or a complex numpy array."""
+    return 0.5 * (p.K + 1.0) * (z + p.mu * z.conjugate())
 
 
-def eval_H(p: MapParams, z: complex) -> complex:
-    """The degree-two map H(z) = h(z)^2."""
+def eval_H(p: MapParams, z):
+    """The degree-two map H(z) = h(z)^2, on numbers or arrays."""
     w = eval_h(p, z)
     return w * w
 

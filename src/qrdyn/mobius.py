@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, circle_dist, normalize_angle
-from .circle import circle_map, circle_map_deriv, orbit as circle_orbit
-from .core import arg_h
+from .core import MapParams, arg_h, circle_dist, normalize_angle
+from .circle import circle_map, orbit as circle_orbit, require_fixed_angle
 from .errors import InvalidParameter
 
 FIT_BURN_IN = 5  # iterates dropped before fitting (the O(1) transient)
@@ -34,10 +33,6 @@ class DiskMobius:
             raise InvalidParameter("need |a| > |b| for a disk automorphism")
         s = math.sqrt(d)
         return DiskMobius(a / s, b / s)
-
-    @staticmethod
-    def identity() -> "DiskMobius":
-        return DiskMobius(1.0 + 0.0j, 0.0j)
 
 
 def mobius_apply(m: DiskMobius, w: complex) -> complex:
@@ -86,8 +81,7 @@ def hyperbolic_dist(w1: complex, w2: complex) -> float:
 
 def fixed_ray_mobius(p: MapParams, phi: float) -> DiskMobius:
     """The Mobius map pushing the dilatation forward along the fixed ray phi."""
-    if circle_dist(circle_map(p, phi), phi) > 1e-8:
-        raise InvalidParameter(f"{phi} is not a fixed angle of the circle map")
+    require_fixed_angle(p, phi)
     half = cmath.exp(-0.5j * phi)
     return DiskMobius.from_coeffs(half, p.mu / half)
 

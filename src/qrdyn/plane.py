@@ -7,18 +7,19 @@ import cmath
 import enum
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, circle_dist, eval_H, radial_stretch
-from .circle import circle_map
+from .core import MapParams, eval_H, radial_stretch
+from .circle import require_fixed_angle
 from .errors import InvalidParameter, ResourceLimit
 
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
+# 128 KiB of complex128, below numpy's 256 KiB threshold for reusing
+# temporaries in place, so a pixel's arithmetic does not depend on its block
+BLOCK_PIXELS = 8192
 
 
 def r_attract(p: MapParams) -> float:
@@ -56,8 +57,7 @@ def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
 
 def radial_fixed_point(p: MapParams, phi: float) -> float:
     """The radius r = 1/alpha at which the fixed ray phi carries a fixed point."""
-    if circle_dist(circle_map(p, phi), phi) > 1e-8:
-        raise InvalidParameter(f"{phi} is not a fixed angle of the circle map")
+    require_fixed_angle(p, phi)
     r = 1.0 / radial_stretch(p, phi)
     z = r * cmath.exp(1j * phi)
     if abs(eval_H(p, z) - z) >= 1e-12:
@@ -100,8 +100,6 @@ class PlaneGrid:
 
 def _classify_block(p: MapParams, z: np.ndarray, max_iter: int):
     """Vectorized classify_point over a complex array."""
-    c = 0.5 * (p.K + 1.0)
-    mu = p.mu
     ra = r_attract(p)
     labels = np.zeros(z.shape, dtype=np.uint8)
     counts = np.full(z.shape, max_iter, dtype=np.int32)
@@ -117,17 +115,16 @@ def _classify_block(p: MapParams, z: np.ndarray, max_iter: int):
         active &= ~(esc | att)
         if n == max_iter or not active.any():
             break
-        wa = c * (w[active] + mu * np.conj(w[active]))
-        w[active] = wa * wa
+        w[active] = eval_H(p, w[active])
     return labels, counts
 
 
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
     """Classify every pixel of a grid over the window.
 
-    Row blocks are classified independently (optionally in threads, capped
-    by QRDYN_THREADS) and reassembled in order, so the result is
-    deterministic.
+    Blocks of whole rows, at most BLOCK_PIXELS pixels each, are classified
+    in turn in the calling thread.  The result depends only on the
+    arguments, not on the core count or the environment.
     """
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
@@ -139,20 +136,14 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
 
     xs = window.center.real + window.width * ((np.arange(nx) + 0.5) / nx - 0.5)
     ys = window.center.imag + window.height * ((np.arange(ny) + 0.5) / ny - 0.5)
-    # row 0 is the top of the image
-    zgrid = xs[None, :] + 1j * ys[::-1, None]
+    ys = ys[::-1]  # row 0 is the top of the image
 
-    n_threads = max(1, min(os.cpu_count() or 1,
-                           int(os.environ.get("QRDYN_THREADS", "4"))))
-    rows_per = max(1, math.ceil(ny / (4 * n_threads)))
-    blocks = [zgrid[i:i + rows_per] for i in range(0, ny, rows_per)]
-    if n_threads == 1 or len(blocks) == 1:
-        results = [_classify_block(p, b, max_iter) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            results = list(ex.map(lambda b: _classify_block(p, b, max_iter), blocks))
-    labels = np.concatenate([r[0] for r in results], axis=0)
-    counts = np.concatenate([r[1] for r in results], axis=0)
+    labels = np.empty((ny, nx), dtype=np.uint8)
+    counts = np.empty((ny, nx), dtype=np.int32)
+    rows = max(1, BLOCK_PIXELS // nx)
+    for i in range(0, ny, rows):
+        z = xs[None, :] + 1j * ys[i:i + rows, None]
+        labels[i:i + rows], counts[i:i + rows] = _classify_block(p, z, max_iter)
     return PlaneGrid(window=window, resolution=(nx, ny), labels=labels,
                      counts=counts, max_iter=max_iter)
 

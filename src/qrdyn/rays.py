@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MapParams, circle_dist, normalize_angle
-from .circle import circle_map, circle_map_deriv
+from .circle import FIXED_RESIDUAL, circle_map, circle_map_deriv
 from .errors import InvalidParameter, NumericalFailure
+from .mobius import contraction_k
 
 NEUTRAL_BAND = 1e-9      # |H~' - 1| below this is neutral
 ROOT_MERGE = 1e-7        # cubic roots closer than this coincide
-FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi
 
 
 class Stability(enum.Enum):
@@ -122,12 +122,6 @@ def trace_sq_of_angle(K: float, phi: float) -> float:
     return (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
 
 
-def _contraction_from_trace(T: float) -> float:
-    if T <= 4.0:
-        return 1.0
-    return (T - 2.0 - math.sqrt(T * T - 4.0 * T)) / 2.0
-
-
 def _make_ray(p: MapParams, phi: float, mult: int) -> FixedRay:
     m = circle_map_deriv(p, phi)
     if mult >= 2 or abs(m - 1.0) < NEUTRAL_BAND:
@@ -137,8 +131,10 @@ def _make_ray(p: MapParams, phi: float, mult: int) -> FixedRay:
     else:
         stab = Stability.REPELLING
     T = trace_sq_of_angle(p.K, phi)
+    # tr^2 <= 4 (no contraction) does occur, e.g. for K within 1e-9 of 1
+    k = contraction_k(T) if T > 4.0 else 1.0
     return FixedRay(angle=phi, multiplier=m, stability=stab,
-                    trace_sq=T, contraction_k=_contraction_from_trace(T))
+                    trace_sq=T, contraction_k=k)
 
 
 def fixed_rays(p: MapParams) -> RegimeReport:

@@ -62,6 +62,10 @@ def test_mu_and_K_mutually_exclusive(capsys):
     code, _ = run(capsys, "fixed-rays", "--K", "2", "--theta", "0",
                   "--mu", "0.3,0")
     assert code == 2
+    # the second map of obstruct obeys the same rule
+    code, _ = run(capsys, "obstruct", "--K", "2", "--theta", "0",
+                  "--mu2", "0.1,0", "--K2", "3", "--theta2", "0")
+    assert code == 2
 
 
 def test_degrees_flag(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -8,9 +9,9 @@ import pytest
 
 from qrdyn.core import arg_h, eval_H, make_params, radial_stretch
 from qrdyn.errors import InvalidParameter, ResourceLimit
-from qrdyn.plane import (PointClass, R_ESCAPE, Window, classify_point,
-                         r_attract, radial_fixed_point, render_grid,
-                         write_ppm, write_stats)
+from qrdyn.plane import (PointClass, R_ESCAPE, Window, _classify_block,
+                         classify_point, r_attract, radial_fixed_point,
+                         render_grid, write_ppm, write_stats)
 from qrdyn.rays import fixed_rays
 
 
@@ -168,3 +169,56 @@ def test_ppm_and_stats_output(tmp_path):
 def test_window_from_bounds_validation():
     with pytest.raises(InvalidParameter):
         Window.from_bounds(1.0, -1.0, 0.0, 1.0)
+
+
+# A 128x128 deep-zoom window (half-width 1.2e-14) straddling the escape/basin
+# boundary at a repelling radial fixed point.  numpy 2.4 rounds the last bit
+# of `mu * conj(w)` differently on 16384 or more complex128 elements, where it
+# reuses temporaries in place; 329 pixels of this window change when the whole
+# grid is classified as one block.
+ZOOM = (2.8100058980732268, 0.4202149038131058,
+        (0.40743453970116605, 0.4074345397011908,
+         -0.4570356957848027, -0.45703569578477793), (128, 128), 77)
+
+# sha256 of the write_ppm and write_stats output.  The digests hold for the
+# numpy they were recorded with (2.4 on x86-64); another numpy build may round
+# the last bit differently and change them.
+GOLDEN = [
+    ((4.0, 0.3, (-1.0, 1.0, -1.0, 1.0), (64, 64), 60),
+     "fbe58c9df7bfbfcf6cf3b254f8bdc10453e4b3ec004f4052310d4042eaffc9e7",
+     "c93bf932887a1c20a1c7ac13d00b061d94711f03f33e6c496d2ff08acf990e60"),
+    ((3.0, -0.4, (-0.55, 0.95, -0.4, 0.6), (96, 64), 80),
+     "7d59e9b6fbf1721b8e7cf23c3f37b97094d3d567ce832e220179ded491c25f0b",
+     "3d1e2c02c83eeaa9e4a2bb41df58e9e6ffc54ed0ad48a5fa95f34aeaa952141b"),
+    (ZOOM,
+     "ebdc8f4afd8cfdeb79f213dcfbe314d5e153092c861a971eacf81a9083d03d37",
+     "9768da7d82dbdc2c2d6e20348580e4cbc394773819205902945c8450994cff85"),
+]
+
+
+@pytest.mark.parametrize("case,ppm_sha,stats_sha", GOLDEN,
+                         ids=["unit-disk", "off-centre", "deep-zoom"])
+def test_render_golden_digests(tmp_path, case, ppm_sha, stats_sha):
+    K, theta, bounds, res, max_iter = case
+    p = make_params(K, theta)
+    g = render_grid(p, Window.from_bounds(*bounds), res, max_iter)
+    ppm, stats = tmp_path / "out.ppm", tmp_path / "out.json"
+    write_ppm(g, str(ppm))
+    write_stats(g, p, str(stats))
+    assert hashlib.sha256(ppm.read_bytes()).hexdigest() == ppm_sha
+    assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_sha
+
+
+def test_render_grid_matches_row_by_row_kernel():
+    # the block layout must not change a pixel: each row on its own stays
+    # far below the size where numpy's rounding changes
+    K, theta, bounds, (nx, ny), max_iter = ZOOM
+    p = make_params(K, theta)
+    w = Window.from_bounds(*bounds)
+    g = render_grid(p, w, (nx, ny), max_iter)
+    xs = w.center.real + w.width * ((np.arange(nx) + 0.5) / nx - 0.5)
+    ys = w.center.imag + w.height * ((np.arange(ny) + 0.5) / ny - 0.5)
+    for i, y in enumerate(ys[::-1]):
+        labels, counts = _classify_block(p, xs + 1j * y, max_iter)
+        assert np.array_equal(g.labels[i], labels), f"row {i}"
+        assert np.array_equal(g.counts[i], counts), f"row {i}"
