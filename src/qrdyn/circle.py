@@ -71,6 +71,10 @@ def circle_map_array(p: MapParams, phis: np.ndarray) -> np.ndarray:
 
 def orbit(p: MapParams, phi: float, n: int) -> list[float]:
     """Forward orbit [phi, H~(phi), ..., H~^n(phi)]."""
+    if not math.isfinite(phi):
+        raise InvalidParameter(f"orbit needs a finite phi, got phi={phi!r}")
+    if n < 0:
+        raise InvalidParameter(f"orbit needs n >= 0, got n={n}")
     seq = [normalize_angle(phi)]
     for _ in range(n):
         seq.append(circle_map(p, seq[-1]))

@@ -105,6 +105,8 @@ def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
 
 
 def _chain_angles(p: MapParams, z: complex, n: int) -> list[float]:
+    if z == 0:
+        raise InvalidParameter("the chain is undefined at z = 0")
     phi0 = normalize_angle(cmath.phase(z))
     # a numerically fixed starting angle stays put: forward iteration off a
     # repelling fixed angle would amplify the rounding of the input instead
@@ -122,8 +124,6 @@ def dilatation_chain(p: MapParams, z: complex, n: int) -> complex:
     """
     if n < 1:
         raise InvalidParameter("need n >= 1")
-    if z == 0:
-        raise InvalidParameter("the chain is undefined at z = 0")
     angles = _chain_angles(p, z, n)  # phi_0 .. phi_{n-1}
     w = p.mu
     for i in range(n - 2, -1, -1):  # apply A_{n-1} first, A_1 last

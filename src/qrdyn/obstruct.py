@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import MapParams
+from .errors import InvalidParameter
 from .rays import RegimeReport, fixed_rays, k_theta
 
 TRACE_TOL = 1e-8          # relative tolerance for trace comparison
@@ -67,6 +68,8 @@ def _near_bifurcation(p: MapParams, report: RegimeReport) -> bool:
 def obstruction_report(p1: MapParams, p2: MapParams,
                        tol: float = TRACE_TOL) -> ObstructionVerdict:
     """Compare two parameter pairs for a provable non-equivalence."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameter(f"need a finite tol >= 0, got tol={tol!r}")
     rep1 = fixed_rays(p1)
     rep2 = fixed_rays(p2)
     t1 = tuple(sorted((r.trace_sq for r in rep1.rays), reverse=True))

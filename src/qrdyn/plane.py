@@ -42,7 +42,7 @@ class PointResult:
 def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
     """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
     if max_iter < 1:
-        raise InvalidParameter("need max_iter >= 1")
+        raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
     ra = r_attract(p)
     w = complex(z)
     for n in range(max_iter + 1):
@@ -99,24 +99,33 @@ class PlaneGrid:
 
 
 def _classify_block(p: MapParams, z: np.ndarray, max_iter: int):
-    """Vectorized classify_point over a complex array."""
+    """Vectorized classify_point over a complex array.
+
+    Only the still-active pixels are iterated: `w` holds their orbits and
+    `idx` their flat positions, both shrunk on every step that decides one.
+    """
     ra = r_attract(p)
-    labels = np.zeros(z.shape, dtype=np.uint8)
-    counts = np.full(z.shape, max_iter, dtype=np.int32)
-    w = z.astype(complex)
-    active = np.ones(z.shape, dtype=bool)
+    labels = np.zeros(z.size, dtype=np.uint8)
+    counts = np.full(z.size, max_iter, dtype=np.int32)
+    w = z.astype(complex).ravel()
+    idx = np.arange(z.size)
     for n in range(max_iter + 1):
         m = np.abs(w)
-        esc = active & (m > R_ESCAPE)
-        att = active & (m < ra)
-        labels[esc] = 1
-        labels[att] = 2
-        counts[esc | att] = n
-        active &= ~(esc | att)
-        if n == max_iter or not active.any():
+        esc = m > R_ESCAPE
+        att = m < ra
+        done = esc | att
+        if done.any():
+            labels[idx[esc]] = 1
+            labels[idx[att]] = 2
+            counts[idx[done]] = n
+            active = ~done
+            w, idx = w[active], idx[active]
+            if not idx.size:
+                break
+        if n == max_iter:
             break
-        w[active] = eval_H(p, w[active])
-    return labels, counts
+        w = eval_H(p, w)
+    return labels.reshape(z.shape), counts.reshape(z.shape)
 
 
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
@@ -126,6 +135,8 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     in turn in the calling thread.  The result depends only on the
     arguments, not on the core count or the environment.
     """
+    if max_iter < 1:
+        raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     nx, ny = resolution
@@ -148,32 +159,39 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
                      counts=counts, max_iter=max_iter)
 
 
+def _palette(max_iter: int, c: int) -> np.ndarray:
+    """RGB of every (label, count) pair with count <= c, at row
+    label * (c+1) + count: escaped hued by log2 of the escape time on a
+    scale set by max_iter, attracted on a gray ramp, undecided black."""
+    n = np.arange(c + 1)
+    pal = np.zeros((3, c + 1, 3), dtype=np.uint8)
+
+    hue = np.log2(n + 1.0) / math.log2(max_iter + 2.0)
+    h6 = (hue % 1.0) * 6.0
+    i = h6.astype(int) % 6
+    f = h6 - np.floor(h6)
+    v = np.full_like(f, 255.0)
+    q = 255.0 * (1.0 - f)
+    t = 255.0 * f
+    r = np.choose(i, [v, q, 0 * v, 0 * v, t, v])
+    g = np.choose(i, [t, v, v, q, 0 * v, 0 * v])
+    b = np.choose(i, [0 * v, 0 * v, t, v, v, q])
+    pal[1] = np.stack([r, g, b], axis=-1).astype(np.uint8)
+
+    shade = 255.0 - 175.0 * n / max(1, max_iter)
+    pal[2] = np.clip(shade, 60.0, 255.0).astype(np.uint8)[:, None]
+    return pal.reshape(-1, 3)
+
+
 def grid_to_rgb(grid: PlaneGrid) -> np.ndarray:
-    """Color scheme: escaped pixels hued by log2 of the escape time,
-    attracted pixels on a gray ramp, undecided black."""
-    ny, nx = grid.labels.shape
-    rgb = np.zeros((ny, nx, 3), dtype=np.uint8)
+    """Each pixel's colour looked up by its (label, count) in the palette.
 
-    esc = grid.labels == 1
-    if esc.any():
-        hue = np.log2(grid.counts[esc] + 1.0) / math.log2(grid.max_iter + 2.0)
-        h6 = (hue % 1.0) * 6.0
-        i = h6.astype(int) % 6
-        f = h6 - np.floor(h6)
-        v = np.full_like(f, 255.0)
-        q = 255.0 * (1.0 - f)
-        t = 255.0 * f
-        r = np.choose(i, [v, q, 0 * v, 0 * v, t, v])
-        g = np.choose(i, [t, v, v, q, 0 * v, 0 * v])
-        b = np.choose(i, [0 * v, 0 * v, t, v, v, q])
-        rgb[esc] = np.stack([r, g, b], axis=-1).astype(np.uint8)
-
-    att = grid.labels == 2
-    if att.any():
-        shade = 255.0 - 175.0 * grid.counts[att] / max(1, grid.max_iter)
-        s = np.clip(shade, 60.0, 255.0).astype(np.uint8)
-        rgb[att] = np.stack([s, s, s], axis=-1)
-    return rgb
+    The palette is sized by the largest count in the grid, not by
+    max_iter, which may be far larger than any count reached.
+    """
+    c = int(grid.counts.max())
+    rows = grid.labels.astype(np.intp) * (c + 1) + grid.counts
+    return np.take(_palette(grid.max_iter, c), rows, axis=0)
 
 
 def write_ppm(grid: PlaneGrid, path: str) -> None:

@@ -9,7 +9,7 @@ from qrdyn.circle import (backward_tree, circle_map, circle_map_array,
                           circle_map_lift, circle_preimages, classify_limit,
                           orbit, LimitOutcome)
 from qrdyn.core import circle_dist, make_params, normalize_angle
-from qrdyn.errors import ResourceLimit
+from qrdyn.errors import InvalidParameter, ResourceLimit
 
 
 def random_params(rng):
@@ -87,6 +87,15 @@ def test_orbit_length_and_consistency():
     assert len(seq) == 11
     for a, b in zip(seq, seq[1:]):
         assert circle_dist(circle_map(p, a), b) < 1e-12
+    assert orbit(p, 1.0, 0) == [1.0]
+
+
+@pytest.mark.parametrize("phi,n,named", [
+    (math.nan, 5, "phi=nan"), (math.inf, 5, "phi=inf"),
+    (-math.inf, 5, "phi=-inf"), (1.0, -4, "n=-4")])
+def test_orbit_rejects_out_of_domain(phi, n, named):
+    with pytest.raises(InvalidParameter, match=named):
+        orbit(make_params(2.5, 0.2), phi, n)
 
 
 def test_classify_limit_attracting():

@@ -1,8 +1,15 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qrdyn
 
 from qrdyn.cli import main
 from qrdyn.rays import fixed_rays
@@ -152,6 +159,53 @@ def test_render_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.ppm.json").read_text().replace("a.ppm", "x") \
         == (tmp_path / "b.ppm.json").read_text().replace("b.ppm", "x")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4",
+      "--max-iter", "-3"], "max_iter >= 1, got -3"),
+    (["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4",
+      "--max-iter", "0"], "max_iter >= 1, got 0"),
+    (["growth", "--K", "2", "--theta", "0", "--z", "0,0"], "z = 0"),
+    (["orbit", "--K", "2", "--theta", "0", "--phi", "nan"], "phi=nan"),
+    (["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "-4"], "n=-4"),
+    (["obstruct", "--K", "1.5", "--theta", "0", "--K2", "4", "--theta2", "0",
+      "--tol", "-1"], "tol=-1.0"),
+    (["obstruct", "--K", "1.5", "--theta", "0", "--K2", "4", "--theta2", "0",
+      "--tol", "nan"], "tol=nan"),
+], ids=["max-iter-negative", "max-iter-zero", "growth-origin", "orbit-phi-nan",
+        "orbit-n-negative", "obstruct-tol-negative", "obstruct-tol-nan"])
+def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv, named):
+    if argv[0] == "render":
+        argv = argv + ["--out", str(tmp_path / "x.ppm")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+def test_render_palette_sized_by_counts_not_max_iter(tmp_path):
+    # every pixel of this window escapes at once, so the palette has one
+    # count per label; one sized by max_iter would need about 18 GB and
+    # fails under the 2 GiB address-space cap instead of exhausting memory
+    resource = pytest.importorskip("resource")
+    cap = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    out = tmp_path / "far.ppm"
+    env = dict(os.environ, PYTHONPATH=str(Path(qrdyn.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrdyn.cli", "render", "--K", "2", "--theta", "0",
+         "--window=5,6,5,6", "--res", "4", "--max-iter", "2000000000",
+         "--out", str(out)],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "952278788e98320d6e6d1805d766cede184bf20c0bf53fee241778b48d4d17ff"
 
 
 def test_invalid_K_exit_code(capsys):

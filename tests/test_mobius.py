@@ -121,8 +121,12 @@ def test_chain_matches_ray_on_fixed_rays():
 
 def test_chain_rejects_origin():
     p = make_params(2.0, 0.0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="undefined at z = 0"):
         dilatation_chain(p, 0.0 + 0j, 5)
+    with pytest.raises(InvalidParameter, match="undefined at z = 0"):
+        dilatation_distance_series(p, 0.0 + 0j, 5)
+    with pytest.raises(InvalidParameter, match="undefined at z = 0"):
+        growth_fit(p, 0.0 + 0j, 10, 60)
 
 
 def test_distance_series_matches_direct_evaluation():

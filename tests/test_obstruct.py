@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qrdyn.core import make_params
+from qrdyn.errors import InvalidParameter
 from qrdyn.obstruct import (Reason, Verdict, obstruction_report)
 from qrdyn.rays import k_theta
 
@@ -74,6 +75,15 @@ def test_near_bifurcation_downgrades():
                            make_params(4.0, 0.0))
     assert v.verdict is Verdict.INCONCLUSIVE
     assert "bifurcation" in v.diagnostic
+
+
+def test_tol_must_be_finite_and_nonnegative():
+    p1, p2 = make_params(1.5, 0.0), make_params(4.0, 0.0)
+    for tol in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match=f"tol={tol!r}"):
+            obstruction_report(p1, p2, tol=tol)
+    # tol = 0 is exact comparison, still in the domain
+    assert obstruction_report(p1, p2, tol=0.0).verdict is Verdict.OBSTRUCTED
 
 
 def test_to_dict_shape():

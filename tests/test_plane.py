@@ -9,9 +9,10 @@ import pytest
 
 from qrdyn.core import arg_h, eval_H, make_params, radial_stretch
 from qrdyn.errors import InvalidParameter, ResourceLimit
-from qrdyn.plane import (PointClass, R_ESCAPE, Window, _classify_block,
-                         classify_point, r_attract, radial_fixed_point,
-                         render_grid, write_ppm, write_stats)
+from qrdyn.plane import (PlaneGrid, PointClass, R_ESCAPE, Window,
+                         _classify_block, classify_point, grid_to_rgb,
+                         r_attract, radial_fixed_point, render_grid, write_ppm,
+                         write_stats)
 from qrdyn.rays import fixed_rays
 
 
@@ -222,3 +223,73 @@ def test_render_grid_matches_row_by_row_kernel():
         labels, counts = _classify_block(p, xs + 1j * y, max_iter)
         assert np.array_equal(g.labels[i], labels), f"row {i}"
         assert np.array_equal(g.counts[i], counts), f"row {i}"
+
+
+def test_classify_block_keeps_shape():
+    p = make_params(4.0, 0.3)
+    rng = np.random.default_rng(45)
+    for shape in [(7,), (3, 5), (1,), (1, 1)]:
+        z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+        labels, counts = _classify_block(p, z, 60)
+        assert labels.shape == counts.shape == shape
+        assert labels.dtype == np.uint8 and counts.dtype == np.int32
+        for zi, lab, cnt in zip(z.ravel(), labels.ravel(), counts.ravel()):
+            res = classify_point(p, complex(zi), 60)
+            assert lab == {PointClass.UNDECIDED: 0, PointClass.ESCAPED: 1,
+                           PointClass.ATTRACTED: 2}[res.label]
+            assert cnt == res.n
+
+
+def masked_hsv_rgb(grid):
+    """grid_to_rgb as it was before the palette: each colour computed per
+    pixel under a label mask.  The reference for the palette lookup."""
+    ny, nx = grid.labels.shape
+    rgb = np.zeros((ny, nx, 3), dtype=np.uint8)
+
+    esc = grid.labels == 1
+    if esc.any():
+        hue = np.log2(grid.counts[esc] + 1.0) / math.log2(grid.max_iter + 2.0)
+        h6 = (hue % 1.0) * 6.0
+        i = h6.astype(int) % 6
+        f = h6 - np.floor(h6)
+        v = np.full_like(f, 255.0)
+        q = 255.0 * (1.0 - f)
+        t = 255.0 * f
+        r = np.choose(i, [v, q, 0 * v, 0 * v, t, v])
+        g = np.choose(i, [t, v, v, q, 0 * v, 0 * v])
+        b = np.choose(i, [0 * v, 0 * v, t, v, v, q])
+        rgb[esc] = np.stack([r, g, b], axis=-1).astype(np.uint8)
+
+    att = grid.labels == 2
+    if att.any():
+        shade = 255.0 - 175.0 * grid.counts[att] / max(1, grid.max_iter)
+        s = np.clip(shade, 60.0, 255.0).astype(np.uint8)
+        rgb[att] = np.stack([s, s, s], axis=-1)
+    return rgb
+
+
+def _synthetic_grid(labels, counts, max_iter):
+    ny, nx = labels.shape
+    return PlaneGrid(window=Window(0j, 1.0, 1.0), resolution=(nx, ny),
+                     labels=labels.astype(np.uint8),
+                     counts=counts.astype(np.int32), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 7, 50, 100, 200, 999])
+def test_palette_matches_masked_hsv_colouring(max_iter):
+    # every (label, count) pair, in order and shuffled
+    labels, counts = np.meshgrid(np.arange(3), np.arange(max_iter + 1),
+                                 indexing="ij")
+    g = _synthetic_grid(labels, counts, max_iter)
+    assert np.array_equal(grid_to_rgb(g), masked_hsv_rgb(g))
+    rng = np.random.default_rng(max_iter)
+    perm = rng.permutation(labels.size)
+    g = _synthetic_grid(labels.ravel()[perm].reshape(-1, 3),
+                        counts.ravel()[perm].reshape(-1, 3), max_iter)
+    assert np.array_equal(grid_to_rgb(g), masked_hsv_rgb(g))
+    # counts that stop short of max_iter size a smaller palette
+    cap = int(rng.integers(0, max_iter + 1))
+    shape = (5, 9)
+    g = _synthetic_grid(rng.integers(0, 3, shape),
+                        rng.integers(0, cap + 1, shape), max_iter)
+    assert np.array_equal(grid_to_rgb(g), masked_hsv_rgb(g))
