@@ -8,8 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import MapParams
-from .circle import circle_preimages
+from .core import TAU, MapParams
 from .rays import Regime, RegimeReport, Stability, fixed_rays
 from .errors import InvalidParameter, NoBasin
 
@@ -71,12 +70,22 @@ def julia_sample(p: MapParams, count: int, seed: int,
     repellers = [r for r in report.rays if r.stability is Stability.REPELLING]
     if not repellers:  # parabolic circle: the neutral angle lies in J too
         repellers = list(report.rays)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    # circle_preimages written out with the same float operations, so the
+    # sample is bit-identical to calling it
+    K, theta, pi = p.K, p.theta, math.pi
+    atan2, sin, cos = math.atan2, math.sin, math.cos
     x = repellers[0].angle
     out = []
     for i in range(count + depth):
-        pre = circle_preimages(p, x)
-        x = pre[rng.getrandbits(1)]
+        u = (x - 2.0 * theta) / 2.0
+        x = (theta + atan2(K * sin(u), cos(u))) % TAU
+        if x > pi:
+            x -= TAU
+        if getrandbits(1):
+            x = (x + pi) % TAU
+            if x > pi:
+                x -= TAU
         if i >= depth:
             out.append(x)
     return out

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, arg_h, circle_dist, normalize_angle
+from .core import TAU, MapParams, arg_h, circle_dist, normalize_angle
 from .errors import InvalidParameter, ResourceLimit
 
 MAX_TREE_DEPTH = 20
@@ -60,13 +61,16 @@ def circle_preimages(p: MapParams, psi: float) -> tuple[float, float]:
     return phi, normalize_angle(phi + math.pi)
 
 
-def circle_map_array(p: MapParams, phis: np.ndarray) -> np.ndarray:
-    """Vectorized circle_map over an array of angles."""
-    x = phis - p.theta
-    out = 2.0 * p.theta + 2.0 * np.arctan2(np.sin(x), p.K * np.cos(x))
-    out = np.mod(out, 2.0 * np.pi)
-    out[out > np.pi] -= 2.0 * np.pi
-    return out
+def _unit_step(mu: complex, z: np.ndarray, w: np.ndarray) -> None:
+    """One circle-map step on unit complex numbers z = e^{i phi}, in place:
+    z <- w / conj(w) = (w/|w|)^2 with w = z + mu conj(z) a positive multiple
+    of h(z).  w is scratch space of z's shape.  The step is invariant under
+    scaling z, so rounding in |z| does not build up over iterations."""
+    np.conjugate(z, out=w)
+    w *= mu
+    w += z
+    np.conjugate(w, out=z)
+    np.divide(w, z, out=z)
 
 
 def orbit(p: MapParams, phi: float, n: int) -> list[float]:
@@ -110,6 +114,10 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
         report = fixed_rays(p)
     targets = [(r.angle, r.stability) for r in report.rays]
 
+    # circle_map and circle_dist written out with the same float operations,
+    # so the report is bit-identical to calling them
+    K, theta, pi = p.K, p.theta, math.pi
+    atan2, sin, cos = math.atan2, math.sin, math.cos
     cur = normalize_angle(phi)
     streak_idx = -1
     streak_len = 0
@@ -117,7 +125,10 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
     for it in range(max_iter + 1):
         hit = -1
         for i, (ang, _) in enumerate(targets):
-            if circle_dist(cur, ang) < tol:
+            d = (cur - ang) % TAU
+            if d > pi:
+                d -= TAU
+            if abs(d) < tol:
                 hit = i
                 break
         if hit >= 0 and hit == streak_idx:
@@ -132,17 +143,21 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
                 return LimitReport(LimitOutcome.LANDED_ON_REPELLER, ang,
                                    streak_start, cur)
             return LimitReport(LimitOutcome.CONVERGED, ang, streak_start, cur)
-        cur = circle_map(p, cur)
+        x = cur - theta
+        cur = (2.0 * (theta + atan2(sin(x), K * cos(x)))) % TAU
+        if cur > pi:
+            cur -= TAU
     return LimitReport(LimitOutcome.UNDECIDED, None, max_iter, cur)
 
 
 def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
                        n_iter: int, tol: float) -> float:
     """Fraction of an angle array within tol of target after n_iter steps."""
-    a = np.asarray(phis, dtype=float)
+    z = np.exp(1j * np.asarray(phis, dtype=float))
+    w = np.empty_like(z)
     for _ in range(n_iter):
-        a = circle_map_array(p, a)
-    d = np.abs(np.mod(a - target + np.pi, 2.0 * np.pi) - np.pi)
+        _unit_step(p.mu, z, w)
+    d = np.abs(np.angle(z * cmath.exp(-1j * target)))
     return float(np.mean(d < tol))
 
 
@@ -152,25 +167,46 @@ class BackwardTree:
     max_gap: float       # largest circular gap, including wraparound
 
 
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """normalize_angle on an array, in place."""
+    np.mod(a, TAU, out=a)
+    a[a > math.pi] -= TAU
+    return a
+
+
+def _dedup_sorted(a: np.ndarray) -> np.ndarray:
+    """Sorted angles without near-duplicates: an angle is kept iff it exceeds
+    the last kept angle by more than DEDUP_TOL, and the last angle is dropped
+    if it is within DEDUP_TOL of the first one plus 2 pi."""
+    # an angle more than DEDUP_TOL above its neighbour is more than that
+    # above every kept angle too, so only angles in close runs need the loop
+    close = np.flatnonzero(np.diff(a) <= DEDUP_TOL) + 1
+    if close.size:
+        keep = np.ones(a.size, dtype=bool)
+        last = 0.0
+        for i in close.tolist():
+            if keep[i - 1]:
+                last = a[i - 1]
+            keep[i] = a[i] - last > DEDUP_TOL
+        a = a[keep]
+    if a.size > 1 and (a[0] + 2.0 * math.pi) - a[-1] <= DEDUP_TOL:
+        a = a[:-1]
+    return a
+
+
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
     """All depth-level preimages of phi under the circle map."""
     if depth > MAX_TREE_DEPTH:
         raise ResourceLimit(f"depth {depth} exceeds limit {MAX_TREE_DEPTH}")
-    level = [normalize_angle(phi)]
+    level = np.array([normalize_angle(phi)])
     for _ in range(depth):
-        nxt = []
-        for a in level:
-            nxt.extend(circle_preimages(p, a))
-        nxt.sort()
-        level = [nxt[0]]
-        for a in nxt[1:]:
-            if a - level[-1] > DEDUP_TOL:
-                level.append(a)
-        # wraparound duplicate
-        if len(level) > 1 and (level[0] + 2.0 * math.pi) - level[-1] <= DEDUP_TOL:
-            level.pop()
-    if len(level) == 1:
-        return BackwardTree(level, 2.0 * math.pi)
-    gaps = [b - a for a, b in zip(level, level[1:])]
-    gaps.append(level[0] + 2.0 * math.pi - level[-1])
-    return BackwardTree(level, max(gaps))
+        # both preimages of every angle, as in circle_preimages
+        u = (level - 2.0 * p.theta) / 2.0
+        first = _wrap(p.theta + np.arctan2(p.K * np.sin(u), np.cos(u)))
+        both = np.concatenate((first, _wrap(first + math.pi)))
+        level = _dedup_sorted(np.sort(both))
+    angles = level.tolist()
+    if len(angles) == 1:
+        return BackwardTree(angles, 2.0 * math.pi)
+    wrap_gap = angles[0] + 2.0 * math.pi - angles[-1]
+    return BackwardTree(angles, max(float(np.diff(level).max()), wrap_gap))

@@ -138,8 +138,9 @@ def cmd_growth(args):
         target = _angle(args, args.phi)
     else:
         raise InvalidParameter("need --phi (fixed ray) or --z (orbit start)")
-    dists = dilatation_distance_series(p, target, args.n_hi)
+    # the fit validates the window in the flags' names
     fit = growth_fit(p, target, args.n_lo, args.n_hi)
+    dists = dilatation_distance_series(p, target, args.n_hi)
     rows = [(n + 1, d) for n, d in enumerate(dists)]
     _emit(args, rows, ["n", "hyperbolic_distance"],
           {"distances": dists,
@@ -249,6 +250,10 @@ def main(argv=None) -> int:
         return 2
     except (NumericalFailure, ResourceLimit) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # writing --out, or stdout without it
+        path = e.filename or getattr(args, "out", None) or "<stdout>"
+        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
         return 3
 
 

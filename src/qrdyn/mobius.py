@@ -125,9 +125,15 @@ def dilatation_chain(p: MapParams, z: complex, n: int) -> complex:
     if n < 1:
         raise InvalidParameter("need n >= 1")
     angles = _chain_angles(p, z, n)  # phi_0 .. phi_{n-1}
-    w = p.mu
+    mu = p.mu
+    w = mu
+    # A_i is _ray_phase_mobius at angles[i] with coefficients (s, mu/s),
+    # s = exp(-i arg_h): the sign of s and the normalization of (a, b)
+    # cancel in the ratio, so neither is computed
     for i in range(n - 2, -1, -1):  # apply A_{n-1} first, A_1 last
-        w = mobius_apply(_ray_phase_mobius(p, angles[i]), w)
+        s = cmath.exp(-1j * arg_h(p, angles[i]))
+        b = mu / s
+        w = (s * w + b) / (b.conjugate() * w + s.conjugate())
     return w
 
 
@@ -166,6 +172,8 @@ def _chain_distances(maps: list[DiskMobius], w0: complex, n_max: int) -> list[fl
 def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
     """d_h(0, mu_{H^n}) for n = 1..n_max; target is a fixed angle (real) or
     an orbit start point (complex)."""
+    if n_max < 1:
+        raise InvalidParameter(f"need n_max >= 1, got n_max={n_max}")
     if isinstance(target, complex):
         angles = _chain_angles(p, target, n_max)
         maps = [_ray_phase_mobius(p, a) for a in angles[:n_max - 1]]
@@ -178,9 +186,14 @@ def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
 def growth_fit(p: MapParams, target, n_lo: int, n_hi: int) -> GrowthFit:
     """Least-squares slope of d_h(0, mu_{H^n}) against n over [n_lo, n_hi]."""
     if n_hi - n_lo < 10:
-        raise InvalidParameter("need n_hi - n_lo >= 10")
+        raise InvalidParameter(
+            f"need n_hi - n_lo >= 10, got n_lo={n_lo}, n_hi={n_hi}")
     lo = max(n_lo, FIT_BURN_IN + 1)
     hi = n_hi
+    if hi - lo + 1 < 2:
+        raise InvalidParameter(
+            f"fit window [n_lo, n_hi] = [{n_lo}, {n_hi}] keeps fewer than 2 "
+            f"points after the burn-in of {FIT_BURN_IN} iterates (n >= {lo})")
     dists = dilatation_distance_series(p, target, n_hi)
     ns = np.arange(lo, hi + 1, dtype=float)
     ds = np.array(dists[lo - 1:hi])

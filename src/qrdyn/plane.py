@@ -73,10 +73,18 @@ class Window:
 
     @staticmethod
     def from_bounds(xmin: float, xmax: float, ymin: float, ymax: float) -> "Window":
+        bounds = f"xmin={xmin!r}, xmax={xmax!r}, ymin={ymin!r}, ymax={ymax!r}"
         if not (xmax > xmin and ymax > ymin):
-            raise InvalidParameter("window bounds must satisfy xmin < xmax, ymin < ymax")
-        return Window(complex((xmin + xmax) / 2.0, (ymin + ymax) / 2.0),
-                      xmax - xmin, ymax - ymin)
+            raise InvalidParameter(
+                f"window bounds must satisfy xmin < xmax, ymin < ymax, got {bounds}")
+        w = Window(complex((xmin + xmax) / 2.0, (ymin + ymax) / 2.0),
+                   xmax - xmin, ymax - ymin)
+        # the centre and size overflow for finite bounds near the float limit
+        if not all(map(math.isfinite, (xmin, xmax, ymin, ymax, w.center.real,
+                                       w.center.imag, w.width, w.height))):
+            raise InvalidParameter(
+                f"window bounds, centre and size must be finite, got {bounds}")
+        return w
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,16 @@ def test_render_byte_identical_reruns(tmp_path):
       "--tol", "-1"], "tol=-1.0"),
     (["obstruct", "--K", "1.5", "--theta", "0", "--K2", "4", "--theta2", "0",
       "--tol", "nan"], "tol=nan"),
+    (["render", "--K", "2", "--theta", "0", "--window=-inf,inf,-1,1", "--res", "4"],
+     "xmin=-inf, xmax=inf"),
+    (["growth", "--K", "2", "--theta", "0", "--phi", "0", "--n-lo", "-20",
+      "--n-hi", "0"], "[n_lo, n_hi] = [-20, 0]"),
+    (["growth", "--K", "2", "--theta", "0", "--z", "0.3,0.4", "--n-lo", "-20",
+      "--n-hi", "3"], "burn-in of 5"),
 ], ids=["max-iter-negative", "max-iter-zero", "growth-origin", "orbit-phi-nan",
-        "orbit-n-negative", "obstruct-tol-negative", "obstruct-tol-nan"])
+        "orbit-n-negative", "obstruct-tol-negative", "obstruct-tol-nan",
+        "render-window-infinite", "growth-window-below-burn-in",
+        "growth-z-window-below-burn-in"])
 def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv, named):
     if argv[0] == "render":
         argv = argv + ["--out", str(tmp_path / "x.ppm")]
@@ -182,6 +190,19 @@ def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "x.ppm").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4"],
+    ["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "3"],
+    ["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "3", "--format", "csv"],
+], ids=["render", "orbit-json", "orbit-csv"])
+def test_unwritable_out_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.out"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(out) in err
+    assert "Traceback" not in err
 
 
 def test_render_palette_sized_by_counts_not_max_iter(tmp_path):

@@ -1,0 +1,249 @@
+"""The survey kernels against the plain loops they replaced.
+
+Each `ref_*` function is the earlier implementation, kept here verbatim (its
+helpers inlined) as the reference.  Kernels whose float operations are
+unchanged must agree bit for bit; the others within bounds fixed from the
+arithmetic that changed:
+
+- converged_fraction iterates unit complex numbers instead of angles: the
+  same fraction on the benchmark's survey grids, within 1e-3 on
+  criterion 7b's grids;
+- backward_tree takes np.arctan2, which differs from math.atan2 by an ulp
+  on some inputs: the same tree size, angles and max_gap within 1e-12;
+- dilatation_chain drops the normalization and the square root of each
+  factor: within 1e-12 for n <= 100.
+"""
+
+import cmath
+import math
+import random
+
+import numpy as np
+import pytest
+
+from qrdyn.blaschke import julia_sample
+from qrdyn.circle import (DEDUP_TOL, LimitOutcome, LimitReport,
+                          _dedup_sorted, backward_tree, circle_map,
+                          circle_preimages, classify_limit, converged_fraction)
+from qrdyn.core import arg_h, circle_dist, make_params, normalize_angle
+from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
+                          mobius_apply)
+from qrdyn.rays import Stability, fixed_rays, k_theta, theta_of_K
+
+
+# ------------------------------------------------------------- references
+
+def ref_circle_map_array(p, phis):
+    x = phis - p.theta
+    out = 2.0 * p.theta + 2.0 * np.arctan2(np.sin(x), p.K * np.cos(x))
+    out = np.mod(out, 2.0 * np.pi)
+    out[out > np.pi] -= 2.0 * np.pi
+    return out
+
+
+def ref_converged_fraction(p, phis, target, n_iter, tol):
+    a = np.asarray(phis, dtype=float)
+    for _ in range(n_iter):
+        a = ref_circle_map_array(p, a)
+    d = np.abs(np.mod(a - target + np.pi, 2.0 * np.pi) - np.pi)
+    return float(np.mean(d < tol))
+
+
+def ref_dedup(nxt):
+    level = [nxt[0]]
+    for a in nxt[1:]:
+        if a - level[-1] > DEDUP_TOL:
+            level.append(a)
+    if len(level) > 1 and (level[0] + 2.0 * math.pi) - level[-1] <= DEDUP_TOL:
+        level.pop()
+    return level
+
+
+def ref_backward_tree(p, phi, depth):
+    level = [normalize_angle(phi)]
+    for _ in range(depth):
+        nxt = []
+        for a in level:
+            nxt.extend(circle_preimages(p, a))
+        nxt.sort()
+        level = ref_dedup(nxt)
+    if len(level) == 1:
+        return level, 2.0 * math.pi
+    gaps = [b - a for a, b in zip(level, level[1:])]
+    gaps.append(level[0] + 2.0 * math.pi - level[-1])
+    return level, max(gaps)
+
+
+def ref_dilatation_chain(p, z, n):
+    angles = _chain_angles(p, z, n)
+    w = p.mu
+    for i in range(n - 2, -1, -1):
+        r = cmath.exp(-2j * arg_h(p, angles[i]))
+        s = cmath.sqrt(r)
+        w = mobius_apply(DiskMobius.from_coeffs(s, p.mu / s), w)
+    return w
+
+
+def ref_classify_limit(p, phi, max_iter=10_000, tol=1e-9, confirm=5):
+    targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
+    cur = normalize_angle(phi)
+    streak_idx = -1
+    streak_len = 0
+    streak_start = 0
+    for it in range(max_iter + 1):
+        hit = -1
+        for i, (ang, _) in enumerate(targets):
+            if circle_dist(cur, ang) < tol:
+                hit = i
+                break
+        if hit >= 0 and hit == streak_idx:
+            streak_len += 1
+        else:
+            streak_idx = hit
+            streak_len = 1 if hit >= 0 else 0
+            streak_start = it
+        if streak_len >= confirm:
+            ang, stab = targets[streak_idx]
+            if stab is Stability.REPELLING:
+                return LimitReport(LimitOutcome.LANDED_ON_REPELLER, ang,
+                                   streak_start, cur)
+            return LimitReport(LimitOutcome.CONVERGED, ang, streak_start, cur)
+        cur = circle_map(p, cur)
+    return LimitReport(LimitOutcome.UNDECIDED, None, max_iter, cur)
+
+
+def ref_julia_sample(p, count, seed, depth=30):
+    report = fixed_rays(p)
+    repellers = [r for r in report.rays if r.stability is Stability.REPELLING]
+    if not repellers:
+        repellers = list(report.rays)
+    rng = random.Random(seed)
+    x = repellers[0].angle
+    out = []
+    for i in range(count + depth):
+        pre = circle_preimages(p, x)
+        x = pre[rng.getrandbits(1)]
+        if i >= depth:
+            out.append(x)
+    return out
+
+
+# ----------------------------------------------------------------- inputs
+
+def regime_params(seed, n=6):
+    """(K, theta) pairs from every regime, as the benchmark's survey draws
+    them: below, at and above K_theta, plus the parabolic K = 2, theta = 0."""
+    rng = random.Random(seed)
+    out = [make_params(2.0, 0.0)]
+    for _ in range(n):
+        theta = rng.uniform(0.0, 1.3) * rng.choice((1.0, -1.0))
+        kt = k_theta(abs(theta))
+        out.append(make_params(rng.uniform(1.05, 0.9 * kt), theta))
+        out.append(make_params(kt * rng.uniform(1.15, 3.0), theta))
+        Kc = math.exp(rng.uniform(math.log(2.2), math.log(40.0)))
+        out.append(make_params(Kc, theta_of_K(Kc)))
+    return out
+
+
+def survey_target(p):
+    rays = fixed_rays(p).rays
+    keep = [r for r in rays if r.stability is not Stability.REPELLING] or list(rays)
+    return keep[0].angle
+
+
+# ------------------------------------------------------------------ tests
+
+def test_converged_fraction_equals_reference_on_survey_grids():
+    rng = random.Random(71)
+    for p in regime_params(71):
+        phis = (np.linspace(-math.pi, math.pi, 1000, endpoint=False)
+                + rng.uniform(-math.pi, math.pi) / 1000)
+        target = survey_target(p)
+        assert converged_fraction(p, phis, target, 60, 1e-6) \
+            == ref_converged_fraction(p, phis, target, 60, 1e-6)
+
+
+def test_converged_fraction_near_reference_on_criterion_7b():
+    p = make_params(4.0, 0.0)
+    phis = np.linspace(-math.pi, math.pi, 100_000, endpoint=False)
+    assert abs(converged_fraction(p, phis, 0.0, 500, 1e-6)
+               - ref_converged_fraction(p, phis, 0.0, 500, 1e-6)) <= 1e-3
+    theta = math.pi / 6
+    pc = make_params(k_theta(theta), theta)
+    neutral = next(r.angle for r in fixed_rays(pc).rays
+                   if r.stability is Stability.NEUTRAL)
+    phis2 = np.linspace(-math.pi, math.pi, 2000, endpoint=False)
+    assert abs(converged_fraction(pc, phis2, neutral, 10_000, 1e-3)
+               - ref_converged_fraction(pc, phis2, neutral, 10_000, 1e-3)) <= 1e-3
+
+
+def test_dedup_keeps_the_greedy_rule_on_clusters():
+    # a mask of gaps > DEDUP_TOL would keep only the first angle of a run of
+    # steps of 0.6 DEDUP_TOL; the greedy rule keeps every second one
+    run = np.arange(8) * (0.6 * DEDUP_TOL)
+    assert _dedup_sorted(run).tolist() == ref_dedup(run.tolist())
+    assert _dedup_sorted(run).tolist() == run[::2].tolist()
+    rng = np.random.default_rng(72)
+    for _ in range(300):
+        steps = rng.choice([0.3, 0.7, 1.0, 1.3, 1e6], size=rng.integers(1, 40))
+        a = np.sort(np.cumsum(steps * DEDUP_TOL) - 1.0)
+        assert _dedup_sorted(a).tolist() == ref_dedup(a.tolist())
+    # the wraparound duplicate of the first angle goes
+    a = np.array([-math.pi, 0.0, math.pi])
+    assert _dedup_sorted(a).tolist() == ref_dedup(a.tolist()) == [-math.pi, 0.0]
+
+
+def test_backward_tree_near_reference():
+    rng = random.Random(73)
+    cases = [(p, rng.uniform(-math.pi, math.pi), rng.choice((1, 6, 10, 12)))
+             for p in regime_params(73)]
+    # large K clusters preimages at the repelling angles; fixed roots put
+    # exact duplicates in every level
+    cases += [(make_params(K, th), phi, 10) for K in (60.0, 400.0)
+              for th in (0.0, 0.7) for phi in (0.0, 1.0)]
+    cases += [(make_params(1.5, 0.0), 0.0, 14), (make_params(4.0, 0.0), 0.0, 8)]
+    for p, phi, depth in cases:
+        tree = backward_tree(p, phi, depth)
+        ref, ref_gap = ref_backward_tree(p, phi, depth)
+        assert len(tree.angles) == len(ref)
+        assert max(abs(a - b) for a, b in zip(tree.angles, ref)) <= 1e-12
+        assert abs(tree.max_gap - ref_gap) <= 1e-12
+        assert all(type(a) is float for a in tree.angles)
+
+
+def test_criterion_7a_gap_unchanged():
+    # criterion 7a stays red with the same depth-14 gap
+    tree = backward_tree(make_params(1.5, 0.0), 0.0, 14)
+    assert abs(tree.max_gap - ref_backward_tree(make_params(1.5, 0.0), 0.0, 14)[1]) <= 1e-12
+    assert tree.max_gap == pytest.approx(0.0346, abs=5e-5)
+
+
+def test_dilatation_chain_near_reference():
+    rng = random.Random(74)
+    for _ in range(40):
+        p = make_params(1.0 + 10 ** rng.uniform(-1.5, 1.3),
+                        rng.uniform(-math.pi / 2, math.pi / 2))
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for n in (1, 2, 3, 17, 32, 100):
+            assert abs(dilatation_chain(p, z, n) - ref_dilatation_chain(p, z, n)) <= 1e-12
+    # a start on a fixed ray keeps the constant orbit
+    p = make_params(4.0, 0.0)
+    for n in (2, 50, 100):
+        assert abs(dilatation_chain(p, 1 + 0j, n) - ref_dilatation_chain(p, 1 + 0j, n)) <= 1e-12
+
+
+def test_classify_limit_bit_identical_to_reference():
+    rng = random.Random(75)
+    for p in regime_params(75):
+        for _ in range(3):
+            phi = rng.uniform(-math.pi, math.pi)
+            assert classify_limit(p, phi, max_iter=1500) \
+                == ref_classify_limit(p, phi, max_iter=1500)
+        # a start on a fixed angle
+        ang = fixed_rays(p).rays[0].angle
+        assert classify_limit(p, ang, max_iter=50) == ref_classify_limit(p, ang, max_iter=50)
+
+
+def test_julia_sample_bit_identical_to_reference():
+    for i, p in enumerate(regime_params(76)):
+        assert julia_sample(p, 500, seed=i) == ref_julia_sample(p, 500, seed=i)

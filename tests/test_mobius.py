@@ -169,3 +169,21 @@ def test_growth_fit_window_validation():
     p = make_params(2.0, 0.0)
     with pytest.raises(InvalidParameter):
         growth_fit(p, 0.0, 10, 15)
+
+
+@pytest.mark.parametrize("target", [0.0, cmath.exp(0.3j)])
+@pytest.mark.parametrize("n_lo,n_hi", [(-20, 0), (-20, 6), (-5, 5)])
+def test_growth_fit_needs_two_points_after_burn_in(target, n_lo, n_hi):
+    # the burn-in raises the window's start to 6, leaving fewer than 2 points
+    p = make_params(2.0, 0.0)
+    with pytest.raises(InvalidParameter,
+                       match=rf"\[n_lo, n_hi\] = \[{n_lo}, {n_hi}\].*burn-in of 5"):
+        growth_fit(p, target, n_lo, n_hi)
+    assert growth_fit(p, target, n_lo, 7).n_used == (6, 7)
+
+
+@pytest.mark.parametrize("target", [0.0, cmath.exp(0.3j)])
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_distance_series_rejects_empty_range(target, n_max):
+    with pytest.raises(InvalidParameter, match=f"n_max={n_max}"):
+        dilatation_distance_series(make_params(2.0, 0.0), target, n_max)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -168,8 +169,14 @@ def test_ppm_and_stats_output(tmp_path):
 
 
 def test_window_from_bounds_validation():
-    with pytest.raises(InvalidParameter):
-        Window.from_bounds(1.0, -1.0, 0.0, 1.0)
+    # empty, non-finite, and finite bounds whose size or centre overflows
+    for bounds in [(1.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
+                   (0.0, 1.0, 1.0, 1.0), (-math.inf, math.inf, -1.0, 1.0),
+                   (0.0, 1.0, -1.0, math.inf), (math.nan, 1.0, 0.0, 1.0),
+                   (-1.7e308, 1.7e308, 0.0, 1.0), (0.0, 1.0, 1e308, 1.7e308)]:
+        named = re.escape(f"xmin={bounds[0]!r}, xmax={bounds[1]!r}")
+        with pytest.raises(InvalidParameter, match=named):
+            Window.from_bounds(*bounds)
 
 
 # A 128x128 deep-zoom window (half-width 1.2e-14) straddling the escape/basin
