@@ -12,14 +12,12 @@ from .core import (MapParams, make_params, params_of_mu, eval_h, eval_H,
                    eval_H_polar, radial_stretch, arg_h, normalize_angle,
                    circle_dist)
 from .circle import (circle_map, circle_map_lift, circle_map_deriv,
-                     circle_map_deriv2, circle_preimages, orbit,
-                     classify_limit, backward_tree, BackwardTree,
-                     LimitOutcome, LimitReport)
+                     circle_preimages, orbit, classify_limit, backward_tree,
+                     BackwardTree, LimitOutcome, LimitReport)
 from .rays import (FixedRay, RegimeReport, Regime, Stability, fixed_rays,
                    solve_cubic, cubic_coeffs, trace_sq_of_angle, theta_of_K,
                    k_theta, interval_J)
-from .mobius import (DiskMobius, mobius_apply, mobius_compose, mobius_inverse,
-                     trace_sq, is_hyperbolic, contraction_k, hyperbolic_dist,
+from .mobius import (DiskMobius, mobius_apply, contraction_k, hyperbolic_dist,
                      fixed_ray_mobius, dilatation_on_ray, dilatation_chain,
                      dilatation_distance_series, growth_fit, GrowthFit)
 from .blaschke import (BlaschkeMap, blaschke_of_params, blaschke_apply,

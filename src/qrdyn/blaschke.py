@@ -10,9 +10,12 @@ from dataclasses import dataclass
 
 from .core import TAU, MapParams
 from .rays import Regime, RegimeReport, Stability, fixed_rays
-from .errors import InvalidParameter, NoBasin
+from .errors import InvalidParameter, NoBasin, ResourceLimit
 
 SAMPLE_BURN_IN = 30
+# the sample is a list of floats that `qrdyn julia` prints whole: at a
+# million angles it peaks near 280 MB
+MAX_SAMPLE_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,11 @@ def julia_sample(p: MapParams, count: int, seed: int,
     seed.
     """
     if count < 1:
-        raise InvalidParameter("need count >= 1")
+        raise InvalidParameter(f"need count >= 1, got count={count}")
+    if depth < 0:
+        raise InvalidParameter(f"need depth >= 0, got depth={depth}")
+    if count > MAX_SAMPLE_COUNT:
+        raise ResourceLimit(f"count {count} exceeds limit {MAX_SAMPLE_COUNT}")
     report = fixed_rays(p)
     repellers = [r for r in report.rays if r.stability is Stability.REPELLING]
     if not repellers:  # parabolic circle: the neutral angle lies in J too

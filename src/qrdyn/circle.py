@@ -1,4 +1,4 @@
-"""The induced degree-two circle endomorphism, its derivatives and orbits."""
+"""The induced degree-two circle endomorphism, its derivative and orbits."""
 
 from __future__ import annotations
 
@@ -13,6 +13,9 @@ from .core import TAU, MapParams, arg_h, circle_dist, normalize_angle
 from .errors import InvalidParameter, ResourceLimit
 
 MAX_TREE_DEPTH = 20
+# `qrdyn orbit` prints the whole orbit: at a million angles it peaks near
+# 280 MB
+MAX_ORBIT_LEN = 1_000_000
 DEDUP_TOL = 1e-13
 FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi
 
@@ -24,8 +27,9 @@ def circle_map(p: MapParams, phi: float) -> float:
 
 def require_fixed_angle(p: MapParams, phi: float) -> None:
     """Raise InvalidParameter unless H~(phi) is within FIXED_RESIDUAL of phi."""
-    resid = circle_dist(circle_map(p, phi), phi)
-    if resid > FIXED_RESIDUAL:
+    # a non-finite phi has no image; NaN fails the comparison below
+    resid = circle_dist(circle_map(p, phi), phi) if math.isfinite(phi) else math.nan
+    if not resid <= FIXED_RESIDUAL:
         raise InvalidParameter(
             f"phi={phi!r} is not a fixed angle of the circle map at K={p.K!r}, "
             f"theta={p.theta!r}: residual {resid:.3e} > {FIXED_RESIDUAL}")
@@ -44,13 +48,6 @@ def circle_map_lift(p: MapParams, phi: float) -> float:
 def circle_map_deriv(p: MapParams, phi: float) -> float:
     c = math.cos(phi - p.theta)
     return 2.0 * p.K / (1.0 + (p.K * p.K - 1.0) * c * c)
-
-
-def circle_map_deriv2(p: MapParams, phi: float) -> float:
-    x = phi - p.theta
-    k2 = p.K * p.K - 1.0
-    denom = 1.0 + k2 * math.cos(x) ** 2
-    return 2.0 * p.K * k2 * math.sin(2.0 * x) / (denom * denom)
 
 
 def circle_preimages(p: MapParams, psi: float) -> tuple[float, float]:
@@ -79,6 +76,8 @@ def orbit(p: MapParams, phi: float, n: int) -> list[float]:
         raise InvalidParameter(f"orbit needs a finite phi, got phi={phi!r}")
     if n < 0:
         raise InvalidParameter(f"orbit needs n >= 0, got n={n}")
+    if n > MAX_ORBIT_LEN:
+        raise ResourceLimit(f"orbit length {n} exceeds limit {MAX_ORBIT_LEN}")
     seq = [normalize_angle(phi)]
     for _ in range(n):
         seq.append(circle_map(p, seq[-1]))
@@ -110,6 +109,8 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
     """
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
+    if max_iter < 0:
+        raise InvalidParameter(f"need max_iter >= 0, got max_iter={max_iter}")
     if report is None:
         report = fixed_rays(p)
     targets = [(r.angle, r.stability) for r in report.rays]
@@ -196,6 +197,8 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
 
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
     """All depth-level preimages of phi under the circle map."""
+    if depth < 0:
+        raise InvalidParameter(f"need depth >= 0, got depth={depth}")
     if depth > MAX_TREE_DEPTH:
         raise ResourceLimit(f"depth {depth} exceeds limit {MAX_TREE_DEPTH}")
     level = np.array([normalize_angle(phi)])

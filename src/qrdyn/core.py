@@ -53,6 +53,11 @@ def make_params(K: float, theta: float) -> MapParams:
         raise InvalidParameter(f"need K > 1, got K={K} (K=1 is the identity stretch)")
     t = normalize_theta(theta)
     mu = cmath.exp(2j * t) * (K - 1.0) / (K + 1.0)
+    # from K of about 1.2e16 on, |mu| = 1 - 2/(K+1) rounds to 1: h is then
+    # degenerate in floating point, and K^2 overflows from about 1.3e154 on
+    if (K - 1.0) / (K + 1.0) >= 1.0 or abs(mu) >= 1.0:
+        raise InvalidParameter(
+            f"K={K!r} is too large: |mu| = (K-1)/(K+1) rounds to 1")
     return MapParams(K=float(K), theta=t, mu=mu)
 
 

@@ -1,9 +1,13 @@
 """Disk Mobius maps, the hyperbolic metric, and dilatation growth along orbits.
 
 A disk automorphism is stored as the normalized coefficient pair (a, b) for
-w -> (a w + b)/(conj(b) w + conj(a)) with |a|^2 - |b|^2 = 1.  The squared
-trace of that matrix is real and decides hyperbolicity (tr^2 > 4); a
-hyperbolic map is conjugate to z -> k z on the half plane with k < 1.
+w -> (a w + b)/(conj(b) w + conj(a)) with |a|^2 - |b|^2 = 1.  The dilatation
+of H^n is mu pushed through a chain of n - 1 such maps, each applied as the
+unnormalized factor w -> (s w + b)/(conj(b) w + conj(s)) with |s| = 1 and
+b = mu/s; on a fixed ray phi every factor is the one map fixed_ray_mobius,
+whose squared trace is rays.trace_sq_of_angle(K, phi).  A hyperbolic map
+(tr^2 > 4) is conjugate to z -> k z on the half plane with k =
+contraction_k(tr^2) < 1.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ import numpy as np
 
 from .core import MapParams, arg_h, circle_dist, normalize_angle
 from .circle import circle_map, orbit as circle_orbit, require_fixed_angle
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ResourceLimit
 
 FIT_BURN_IN = 5  # iterates dropped before fitting (the O(1) transient)
+# `qrdyn growth` prints every distance: at a million it peaks near 280 MB,
+# while the growth is linear from a few dozen iterates on
+MAX_CHAIN_LEN = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,26 +44,6 @@ class DiskMobius:
 
 def mobius_apply(m: DiskMobius, w: complex) -> complex:
     return (m.a * w + m.b) / (m.b.conjugate() * w + m.a.conjugate())
-
-
-def mobius_compose(m1: DiskMobius, m2: DiskMobius) -> DiskMobius:
-    """m1 after m2 (matrix product)."""
-    a = m1.a * m2.a + m1.b * m2.b.conjugate()
-    b = m1.a * m2.b + m1.b * m2.a.conjugate()
-    return DiskMobius(a, b)
-
-
-def mobius_inverse(m: DiskMobius) -> DiskMobius:
-    return DiskMobius(m.a.conjugate(), -m.b)
-
-
-def trace_sq(m: DiskMobius) -> float:
-    t = 2.0 * m.a.real
-    return t * t
-
-
-def is_hyperbolic(m: DiskMobius) -> bool:
-    return trace_sq(m) > 4.0
 
 
 def contraction_k(T: float) -> float:
@@ -86,27 +73,11 @@ def fixed_ray_mobius(p: MapParams, phi: float) -> DiskMobius:
     return DiskMobius.from_coeffs(half, p.mu / half)
 
 
-def _ray_phase_mobius(p: MapParams, phi_prev: float) -> DiskMobius:
-    """Chain factor built from r = exp(-2 i arg[h(...)]) at an orbit point."""
-    r = cmath.exp(-2j * arg_h(p, phi_prev))
-    s = cmath.sqrt(r)
-    return DiskMobius.from_coeffs(s, p.mu / s)
-
-
-def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
-    """Complex dilatation of H^n on the fixed ray phi: A^{n-1}(mu)."""
-    if n < 1:
-        raise InvalidParameter("need n >= 1")
-    A = fixed_ray_mobius(p, phi)
-    w = p.mu
-    for _ in range(n - 1):
-        w = mobius_apply(A, w)
-    return w
-
-
 def _chain_angles(p: MapParams, z: complex, n: int) -> list[float]:
     if z == 0:
         raise InvalidParameter("the chain is undefined at z = 0")
+    if not cmath.isfinite(z):
+        raise InvalidParameter(f"the chain needs a finite start z, got z={z!r}")
     phi0 = normalize_angle(cmath.phase(z))
     # a numerically fixed starting angle stays put: forward iteration off a
     # repelling fixed angle would amplify the rounding of the input instead
@@ -116,25 +87,44 @@ def _chain_angles(p: MapParams, z: complex, n: int) -> list[float]:
     return circle_orbit(p, phi0, n - 1)
 
 
-def dilatation_chain(p: MapParams, z: complex, n: int) -> complex:
-    """Complex dilatation of H^n at z via the non-autonomous Mobius chain.
+def _chain_phases(p: MapParams, target, n: int) -> list[complex]:
+    """The unit numbers s_1 .. s_{n-1} of the chain factors that carry mu to
+    the dilatation of H^n: every s is e^{-i phi/2} on a fixed angle phi (a
+    real target), and s_i = e^{-i arg h(phi_{i-1})} along the orbit of
+    arg z from a start z (a complex target), so |z| never overflows.  The
+    sign of s and the normalization of a factor cancel in its ratio."""
+    if n > MAX_CHAIN_LEN:
+        raise ResourceLimit(f"chain length {n} exceeds limit {MAX_CHAIN_LEN}")
+    if isinstance(target, complex):
+        angles = _chain_angles(p, target, n)  # phi_0 .. phi_{n-1}
+        return [cmath.exp(-1j * arg_h(p, a)) for a in angles[:n - 1]]
+    phi = float(target)
+    require_fixed_angle(p, phi)
+    return [cmath.exp(-0.5j * phi)] * (n - 1)
 
-    Only the arguments of the orbit points enter, so the orbit of |z| never
-    overflows.
-    """
-    if n < 1:
-        raise InvalidParameter("need n >= 1")
-    angles = _chain_angles(p, z, n)  # phi_0 .. phi_{n-1}
-    mu = p.mu
+
+def _fold(mu: complex, phases: list[complex]) -> complex:
+    """The chain factors of phases applied to mu, the last factor first."""
     w = mu
-    # A_i is _ray_phase_mobius at angles[i] with coefficients (s, mu/s),
-    # s = exp(-i arg_h): the sign of s and the normalization of (a, b)
-    # cancel in the ratio, so neither is computed
-    for i in range(n - 2, -1, -1):  # apply A_{n-1} first, A_1 last
-        s = cmath.exp(-1j * arg_h(p, angles[i]))
+    for s in reversed(phases):
         b = mu / s
         w = (s * w + b) / (b.conjugate() * w + s.conjugate())
     return w
+
+
+def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
+    """Complex dilatation of H^n on the fixed ray phi: A^{n-1}(mu) with
+    A = fixed_ray_mobius(p, phi)."""
+    if n < 1:
+        raise InvalidParameter(f"need n >= 1, got n={n}")
+    return _fold(p.mu, _chain_phases(p, float(phi), n))
+
+
+def dilatation_chain(p: MapParams, z: complex, n: int) -> complex:
+    """Complex dilatation of H^n at z via the non-autonomous Mobius chain."""
+    if n < 1:
+        raise InvalidParameter(f"need n >= 1, got n={n}")
+    return _fold(p.mu, _chain_phases(p, complex(z), n))
 
 
 @dataclass(frozen=True)
@@ -145,42 +135,33 @@ class GrowthFit:
     n_used: tuple[int, int]  # actual fit window after burn-in / underflow cap
 
 
-def _chain_distances(maps: list[DiskMobius], w0: complex, n_max: int) -> list[float]:
-    """d_h(0, A_1 o ... o A_{n-1}(w0)) for n = 1..n_max.
-
-    Uses d_h(0, t_n(w0)) = d_h(t_n^{-1}(0), w0) and tracks log(1-|v|^2) of
-    the inverse orbit v so the distance stays accurate when v pins to the
-    boundary numerically.
-    """
-    log_w0 = math.log1p(-abs(w0) ** 2)
-    v = 0.0 + 0.0j
-    log_s = 0.0
-    out = [hyperbolic_dist(0.0j, w0)]  # n = 1, empty chain
-    for k in range(1, n_max):
-        inv = mobius_inverse(maps[k - 1])
-        den = inv.b.conjugate() * v + inv.a.conjugate()
-        v = (inv.a * v + inv.b) / den
-        log_s -= 2.0 * math.log(abs(den))
-        d_num = abs(v - w0)
-        d_den = abs(1.0 - v.conjugate() * w0)
-        rho = d_num / d_den
-        log_one_minus_rho_sq = log_s + log_w0 - 2.0 * math.log(d_den)
-        out.append(2.0 * math.log1p(rho) - log_one_minus_rho_sq)
-    return out
-
-
 def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
     """d_h(0, mu_{H^n}) for n = 1..n_max; target is a fixed angle (real) or
-    an orbit start point (complex)."""
+    an orbit start point (complex).
+
+    Uses d_h(0, t_n(mu)) = d_h(t_n^{-1}(0), mu) for the chain t_n of the
+    first n - 1 factors, whose inverses are the factors (conj s, -b), and
+    tracks log(1-|v|^2) of the inverse orbit v so the distance stays
+    accurate when v pins to the boundary numerically.  Each factor has
+    determinant 1 - |mu|^2.
+    """
     if n_max < 1:
         raise InvalidParameter(f"need n_max >= 1, got n_max={n_max}")
-    if isinstance(target, complex):
-        angles = _chain_angles(p, target, n_max)
-        maps = [_ray_phase_mobius(p, a) for a in angles[:n_max - 1]]
-    else:
-        A = fixed_ray_mobius(p, float(target))
-        maps = [A] * (n_max - 1)
-    return _chain_distances(maps, p.mu, n_max)
+    mu = p.mu
+    out = [hyperbolic_dist(0.0j, mu)]  # n = 1, empty chain; needs |mu| < 1
+    log_det = math.log1p(-abs(mu) ** 2)  # also log(1 - |mu|^2) of w0 = mu
+    v = 0.0 + 0.0j
+    log_s = 0.0
+    for s in _chain_phases(p, target, n_max):
+        b = mu / s
+        den = s - b.conjugate() * v
+        v = (s.conjugate() * v - b) / den
+        log_s += log_det - 2.0 * math.log(abs(den))
+        d_den = abs(1.0 - v.conjugate() * mu)
+        rho = abs(v - mu) / d_den
+        log_one_minus_rho_sq = log_s + log_det - 2.0 * math.log(d_den)
+        out.append(2.0 * math.log1p(rho) - log_one_minus_rho_sq)
+    return out
 
 
 def growth_fit(p: MapParams, target, n_lo: int, n_hi: int) -> GrowthFit:

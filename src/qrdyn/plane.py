@@ -39,20 +39,16 @@ class PointResult:
     n: int  # first iterate past the certifying radius (0 for the seed itself)
 
 
+# PointClass of each label of _classify_block
+_POINT_CLASSES = (PointClass.UNDECIDED, PointClass.ESCAPED, PointClass.ATTRACTED)
+
+
 def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
     """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
     if max_iter < 1:
         raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
-    ra = r_attract(p)
-    w = complex(z)
-    for n in range(max_iter + 1):
-        m = abs(w)
-        if m > R_ESCAPE:
-            return PointResult(PointClass.ESCAPED, n)
-        if m < ra:
-            return PointResult(PointClass.ATTRACTED, n)
-        w = eval_H(p, w)
-    return PointResult(PointClass.UNDECIDED, max_iter)
+    labels, counts = _classify_block(p, np.array([z], dtype=complex), max_iter)
+    return PointResult(_POINT_CLASSES[labels[0]], int(counts[0]))
 
 
 def radial_fixed_point(p: MapParams, phi: float) -> float:
@@ -107,7 +103,9 @@ class PlaneGrid:
 
 
 def _classify_block(p: MapParams, z: np.ndarray, max_iter: int):
-    """Vectorized classify_point over a complex array.
+    """Escaping (label 1) / attracted-to-0 (2) / undecided (0) for each
+    point of a complex array, with the first iterate past the certifying
+    radius (max_iter for the undecided).
 
     Only the still-active pixels are iterated: `w` holds their orbits and
     `idx` their flat positions, both shrunk on every step that decides one.

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from qrdyn.blaschke import (BasinInterval, blaschke_apply, blaschke_of_params,
-                            immediate_basin, julia_classification,
-                            julia_sample, JuliaKind)
+from qrdyn.blaschke import (MAX_SAMPLE_COUNT, BasinInterval, blaschke_apply,
+                            blaschke_of_params, immediate_basin,
+                            julia_classification, julia_sample, JuliaKind)
 from qrdyn.circle import circle_map, classify_limit, LimitOutcome
 from qrdyn.core import circle_dist, make_params
-from qrdyn.errors import InvalidParameter, NoBasin
+from qrdyn.errors import InvalidParameter, NoBasin, ResourceLimit
 from qrdyn.rays import fixed_rays, k_theta, Regime, Stability
 
 
@@ -63,6 +63,22 @@ def test_julia_sample_deterministic_and_avoids_basin():
     assert len(s1) == 200
     # the Julia set avoids a neighbourhood of the attracting angle 0
     assert min(abs(a) for a in s1) > 0.5
+
+
+def test_julia_sample_rejects_out_of_domain():
+    p = make_params(2.0, 0.3)
+    with pytest.raises(InvalidParameter, match="depth=-5"):
+        julia_sample(p, 2, 1, depth=-5)
+    with pytest.raises(InvalidParameter, match="count=0"):
+        julia_sample(p, 0, 1)
+    assert len(julia_sample(p, 2, 1, depth=0)) == 2
+
+
+@pytest.mark.parametrize("count", [MAX_SAMPLE_COUNT + 1, 10 ** 20])
+def test_julia_sample_count_limit(count):
+    # rejected before any sampling: 10**20 could not even be allocated
+    with pytest.raises(ResourceLimit, match=f"count {count} exceeds"):
+        julia_sample(make_params(2.0, 0.3), count, 1)
 
 
 def test_julia_sample_dense_when_full_circle():

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from qrdyn.circle import (_unit_step, backward_tree, circle_map,
-                          circle_map_deriv, circle_map_deriv2,
-                          circle_map_lift, circle_preimages, classify_limit,
-                          orbit, LimitOutcome)
+from qrdyn.circle import (MAX_ORBIT_LEN, _unit_step, backward_tree, circle_map,
+                          circle_map_deriv, circle_map_lift, circle_preimages,
+                          classify_limit, orbit, require_fixed_angle,
+                          LimitOutcome)
 from qrdyn.core import circle_dist, make_params, normalize_angle
 from qrdyn.errors import InvalidParameter, ResourceLimit
 
@@ -33,16 +33,6 @@ def test_deriv_matches_finite_difference():
         h = 1e-6
         fd = (circle_map_lift(p, phi + h) - circle_map_lift(p, phi - h)) / (2 * h)
         assert circle_map_deriv(p, phi) == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_deriv2_matches_finite_difference():
-    rng = random.Random(4)
-    for _ in range(100):
-        p = random_params(rng)
-        phi = rng.uniform(-1.0, 1.0) + p.theta  # stay on one lift branch
-        h = 1e-5
-        fd = (circle_map_deriv(p, phi + h) - circle_map_deriv(p, phi - h)) / (2 * h)
-        assert circle_map_deriv2(p, phi) == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_lift_degree_two():
@@ -100,6 +90,29 @@ def test_orbit_rejects_out_of_domain(phi, n, named):
         orbit(make_params(2.5, 0.2), phi, n)
 
 
+@pytest.mark.parametrize("n", [MAX_ORBIT_LEN + 1, 10 ** 20])
+def test_orbit_length_limit(n):
+    # rejected before the first step: 10**20 angles could not be stored
+    with pytest.raises(ResourceLimit, match=f"orbit length {n} exceeds"):
+        orbit(make_params(2.5, 0.2), 0.5, n)
+
+
+@pytest.mark.parametrize("phi,named", [
+    (math.nan, "phi=nan"), (math.inf, "phi=inf"), (-math.inf, "phi=-inf"),
+    (0.5, "phi=0.5")])
+def test_require_fixed_angle_rejects(phi, named):
+    # NaN compares false with every residual, so the check must not pass it
+    with pytest.raises(InvalidParameter, match=named):
+        require_fixed_angle(make_params(2.0, 0.0), phi)
+
+
+def test_classify_limit_rejects_negative_max_iter():
+    with pytest.raises(InvalidParameter, match="max_iter=-4"):
+        classify_limit(make_params(2.0, 0.3), 0.5, max_iter=-4)
+    # max_iter = 0 still tests the start itself
+    assert classify_limit(make_params(2.0, 0.3), 0.5, max_iter=0).iterations == 0
+
+
 def test_classify_limit_attracting():
     p = make_params(4.0, 0.0)
     rep = classify_limit(p, 0.5)
@@ -143,3 +156,10 @@ def test_backward_tree_depth_limit():
     p = make_params(1.5, 0.0)
     with pytest.raises(ResourceLimit):
         backward_tree(p, 0.5, 21)
+
+
+def test_backward_tree_rejects_negative_depth():
+    p = make_params(2.0, 0.3)
+    with pytest.raises(InvalidParameter, match="depth=-3"):
+        backward_tree(p, 0.5, -3)
+    assert backward_tree(p, 0.5, 0).angles == [0.5]

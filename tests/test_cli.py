@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -179,10 +180,16 @@ def test_render_byte_identical_reruns(tmp_path):
       "--n-hi", "0"], "[n_lo, n_hi] = [-20, 0]"),
     (["growth", "--K", "2", "--theta", "0", "--z", "0.3,0.4", "--n-lo", "-20",
       "--n-hi", "3"], "burn-in of 5"),
+    (["growth", "--K", "2", "--theta", "0", "--phi", "nan"], "phi=nan"),
+    (["growth", "--K", "2", "--theta", "0", "--phi", "inf"], "phi=inf"),
+    (["growth", "--K", "2", "--theta", "0", "--phi=-inf"], "phi=-inf"),
+    (["growth", "--K", "2", "--theta", "0", "--z", "nan,0"], "z=(nan+0j)"),
+    (["growth", "--K", "2", "--theta", "0", "--z", "inf,1"], "z=(inf+1j)"),
 ], ids=["max-iter-negative", "max-iter-zero", "growth-origin", "orbit-phi-nan",
         "orbit-n-negative", "obstruct-tol-negative", "obstruct-tol-nan",
         "render-window-infinite", "growth-window-below-burn-in",
-        "growth-z-window-below-burn-in"])
+        "growth-z-window-below-burn-in", "growth-phi-nan", "growth-phi-inf",
+        "growth-phi-minus-inf", "growth-z-nan", "growth-z-inf"])
 def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv, named):
     if argv[0] == "render":
         argv = argv + ["--out", str(tmp_path / "x.ppm")]
@@ -203,6 +210,24 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and str(out) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["julia", "--K", "2", "--theta", "0", "--count", "1000000000"],
+     "count 1000000000 exceeds limit"),
+    (["growth", "--K", "2", "--theta", "0", "--phi", "0", "--n-hi", "1000000000"],
+     "chain length 1000000000 exceeds limit"),
+    (["growth", "--K", "2", "--theta", "0", "--z", "0.3,0.4", "--n-hi",
+      "100000000000000000000"], "chain length 100000000000000000000 exceeds limit"),
+    (["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "1000000000"],
+     "orbit length 1000000000 exceeds limit"),
+], ids=["julia-count", "growth-n-hi", "growth-z-n-hi-overflow", "orbit-n"])
+def test_size_limits_exit_3(capsys, argv, named):
+    # refused before anything is allocated: a list of 10**9 floats would not
+    # fit, and one of 10**20 overflows its length
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_render_palette_sized_by_counts_not_max_iter(tmp_path):
@@ -250,3 +275,87 @@ def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as e:
         main(["ktheta", "--theta", "0.3", "--bogus"])
     assert e.value.code == 64
+
+
+FUZZ_K = ["1.5", "2", "4", "1.0000001", "40", "1e6"]
+FUZZ_THETA = ["0", "0.3", "-1.2", "1.5707963267948966", "30"]
+FUZZ_MU = ["0.3,0.4", "0.99,0.1", "-0.2,0"]
+# values inside each flag's domain; sizes finish fast, or are refused
+FUZZ_GOOD = {
+    "--K": FUZZ_K, "--K2": FUZZ_K, "--theta": FUZZ_THETA, "--theta2": FUZZ_THETA,
+    "--mu": FUZZ_MU, "--mu2": FUZZ_MU, "--tol": ["1e-8", "0", "0.1"],
+    "--phi": ["0", "0.5", "-1.2309594173407747", "3"],
+    "--z": ["0.3,0.4", "1,0", "-2,1e-9"],
+    "--window": ["-1,1,-1,1", "-2,2,-2,2", "0.1,0.2,-0.05,0.05"],
+    "--n": ["0", "3", "40", "1000000001"], "--n-lo": ["0", "10", "30"],
+    "--n-hi": ["25", "60", "200", "1000000001", "100000000000000000000"],
+    "--count": ["1", "50", "1000000001"], "--seed": ["0", "-7", "3"],
+    "--res": ["1", "16", "9000"], "--max-iter": ["1", "50"],
+}
+FUZZ_BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "-0", "1e308", "-1e308",
+                    "1e-300", "x", ""]
+FUZZ_BAD_PAIRS = ["0,0", "nan,0", "inf,1", "1e308,1e308", "0.5", "1,2,3", ",",
+                  "a,b", ""]
+FUZZ_BAD = {
+    "--mu": FUZZ_BAD_PAIRS, "--mu2": FUZZ_BAD_PAIRS, "--z": FUZZ_BAD_PAIRS,
+    "--window": ["1,-1,0,1", "0,0,0,0", "nan,1,0,1", "-inf,inf,-1,1",
+                 "-1e308,1e308,-1e308,1e308", "-1,1", "a,b,c,d"],
+    "--n": ["-4", "1e3", "x"], "--n-lo": ["-20", "1000000000", "x"],
+    "--n-hi": ["0", "6", "-5", "x"], "--count": ["-1", "0", "2.5"],
+    "--seed": ["1.5", "x"], "--res": ["-1", "0", "x"],
+    "--max-iter": ["-3", "0", "2.5"],
+}
+FUZZ_FLAGS = {
+    "fixed-rays": [],
+    "ktheta": [],
+    "orbit": ["--phi", "--n"],
+    "growth": ["--phi", "--z", "--n-lo", "--n-hi"],
+    "julia": ["--count", "--seed"],
+    "basin": [],
+    "render": ["--window", "--res", "--max-iter"],
+    "obstruct": ["--K2", "--theta2", "--mu2", "--tol"],
+}
+
+
+def fuzz_argv(rng, out):
+    cmd = rng.choice(sorted(FUZZ_FLAGS))
+    argv = [cmd]
+    # mostly one of the two ways to give the map, sometimes both
+    params = rng.choice([["--K", "--theta"]] * 3 + [["--mu"], ["--K", "--theta", "--mu"]])
+    for flag in params + FUZZ_FLAGS[cmd]:
+        r = rng.random()
+        if r < 0.08:
+            continue  # a missing flag
+        bad = FUZZ_BAD.get(flag, FUZZ_BAD_NUMBERS)
+        value = rng.choice(bad if r < 0.25 else FUZZ_GOOD[flag])
+        argv.append(f"{flag}={value}")
+    if rng.random() < 0.2:
+        argv.append("--degrees")
+    if cmd != "render" and rng.random() < 0.3:
+        argv.append("--format=" + rng.choice(["csv", "json", "xml"]))
+    if cmd == "render" or rng.random() < 0.2:
+        argv.append(f"--out={out}")
+    return argv
+
+
+def test_cli_fuzz_exit_codes(tmp_path, capsys):
+    """Seeded argvs over every subcommand, with non-finite, zero, negative,
+    huge and malformed values and missing flags: each ends in a documented
+    exit code, and an error exit names its cause on stderr."""
+    rng = random.Random(2012)
+    seen = set()
+    for i in range(400):
+        argv = fuzz_argv(rng, tmp_path / f"out{i % 4}.ppm")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 64), (argv, code, err)
+        assert "Traceback" not in err, argv
+        if code in (2, 3):
+            assert err.startswith("error: "), (argv, err)
+        seen.add((argv[0], code))
+    # every subcommand is run, and some argvs of each reach an answer
+    assert {cmd for cmd, _ in seen} == set(FUZZ_FLAGS)
+    assert {code for _, code in seen} == {0, 2, 3, 64}

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,12 @@ def test_make_params_rejects_bad_K():
         make_params(0.5, 0.0)
     with pytest.raises(InvalidParameter):
         make_params(float("nan"), 0.0)
+    # |mu| rounds to 1 long before K overflows
+    for K in (2e16, 1e155, 1e308):
+        for theta in (0.0, 0.3, math.pi / 2):
+            with pytest.raises(InvalidParameter, match=re.escape(f"K={K!r} is too large")):
+                make_params(K, theta)
+    assert abs(make_params(1e15, 0.3).mu) < 1.0
 
 
 def test_theta_normalized_to_half_open_interval():

@@ -1,4 +1,4 @@
-"""The survey kernels against the plain loops they replaced.
+"""The kernels against the plain loops they replaced.
 
 Each `ref_*` function is the earlier implementation, kept here verbatim (its
 helpers inlined) as the reference.  Kernels whose float operations are
@@ -11,7 +11,15 @@ arithmetic that changed:
 - backward_tree takes np.arctan2, which differs from math.atan2 by an ulp
   on some inputs: the same tree size, angles and max_gap within 1e-12;
 - dilatation_chain drops the normalization and the square root of each
-  factor: within 1e-12 for n <= 100.
+  factor: within 1e-12 for n <= 100 of the DiskMobius chain, and bit for
+  bit equal to the matrix-free loop that first dropped them;
+- dilatation_on_ray folds the same unnormalized factors instead of
+  iterating a normalized DiskMobius: within 1e-12 for n <= 100;
+- dilatation_distance_series walks the inverse factors (conj s, -b) and
+  adds their determinant as log(1 - |mu|^2) per step instead of composing
+  normalized inverses: within 1e-12 max(1, d) for n <= 200;
+- classify_point is a one-element _classify_block: the same (label, n) as
+  the scalar loop.
 """
 
 import cmath
@@ -25,9 +33,13 @@ from qrdyn.blaschke import julia_sample
 from qrdyn.circle import (DEDUP_TOL, LimitOutcome, LimitReport,
                           _dedup_sorted, backward_tree, circle_map,
                           circle_preimages, classify_limit, converged_fraction)
-from qrdyn.core import arg_h, circle_dist, make_params, normalize_angle
+from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
+                        normalize_angle)
 from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
-                          mobius_apply)
+                          dilatation_distance_series, dilatation_on_ray,
+                          fixed_ray_mobius, hyperbolic_dist, mobius_apply)
+from qrdyn.plane import (PointClass, PointResult, R_ESCAPE, classify_point,
+                         r_attract)
 from qrdyn.rays import Stability, fixed_rays, k_theta, theta_of_K
 
 
@@ -82,6 +94,72 @@ def ref_dilatation_chain(p, z, n):
         s = cmath.sqrt(r)
         w = mobius_apply(DiskMobius.from_coeffs(s, p.mu / s), w)
     return w
+
+
+def ref_dilatation_chain_matrix_free(p, z, n):
+    angles = _chain_angles(p, z, n)  # phi_0 .. phi_{n-1}
+    mu = p.mu
+    w = mu
+    for i in range(n - 2, -1, -1):  # apply A_{n-1} first, A_1 last
+        s = cmath.exp(-1j * arg_h(p, angles[i]))
+        b = mu / s
+        w = (s * w + b) / (b.conjugate() * w + s.conjugate())
+    return w
+
+
+def ref_dilatation_on_ray(p, phi, n):
+    A = fixed_ray_mobius(p, phi)
+    w = p.mu
+    for _ in range(n - 1):
+        w = mobius_apply(A, w)
+    return w
+
+
+def ref_ray_phase_mobius(p, phi_prev):
+    r = cmath.exp(-2j * arg_h(p, phi_prev))
+    s = cmath.sqrt(r)
+    return DiskMobius.from_coeffs(s, p.mu / s)
+
+
+def ref_chain_distances(maps, w0, n_max):
+    log_w0 = math.log1p(-abs(w0) ** 2)
+    v = 0.0 + 0.0j
+    log_s = 0.0
+    out = [hyperbolic_dist(0.0j, w0)]  # n = 1, empty chain
+    for k in range(1, n_max):
+        inv = DiskMobius(maps[k - 1].a.conjugate(), -maps[k - 1].b)
+        den = inv.b.conjugate() * v + inv.a.conjugate()
+        v = (inv.a * v + inv.b) / den
+        log_s -= 2.0 * math.log(abs(den))
+        d_num = abs(v - w0)
+        d_den = abs(1.0 - v.conjugate() * w0)
+        rho = d_num / d_den
+        log_one_minus_rho_sq = log_s + log_w0 - 2.0 * math.log(d_den)
+        out.append(2.0 * math.log1p(rho) - log_one_minus_rho_sq)
+    return out
+
+
+def ref_dilatation_distance_series(p, target, n_max):
+    if isinstance(target, complex):
+        angles = _chain_angles(p, target, n_max)
+        maps = [ref_ray_phase_mobius(p, a) for a in angles[:n_max - 1]]
+    else:
+        A = fixed_ray_mobius(p, float(target))
+        maps = [A] * (n_max - 1)
+    return ref_chain_distances(maps, p.mu, n_max)
+
+
+def ref_classify_point(p, z, max_iter):
+    ra = r_attract(p)
+    w = complex(z)
+    for n in range(max_iter + 1):
+        m = abs(w)
+        if m > R_ESCAPE:
+            return PointResult(PointClass.ESCAPED, n)
+        if m < ra:
+            return PointResult(PointClass.ATTRACTED, n)
+        w = eval_H(p, w)
+    return PointResult(PointClass.UNDECIDED, max_iter)
 
 
 def ref_classify_limit(p, phi, max_iter=10_000, tol=1e-9, confirm=5):
@@ -230,6 +308,65 @@ def test_dilatation_chain_near_reference():
     p = make_params(4.0, 0.0)
     for n in (2, 50, 100):
         assert abs(dilatation_chain(p, 1 + 0j, n) - ref_dilatation_chain(p, 1 + 0j, n)) <= 1e-12
+
+
+def test_dilatation_chain_bit_identical_to_matrix_free_loop():
+    # the survey's draws: a start anywhere in the square, n = 1..32; and
+    # longer chains, starts on fixed rays and huge |z|
+    rng = random.Random(77)
+    for p in regime_params(77):
+        for _ in range(4):
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for n in range(1, 33):
+                assert dilatation_chain(p, z, n) == ref_dilatation_chain_matrix_free(p, z, n)
+        for ray in fixed_rays(p).rays:
+            z = cmath.exp(1j * ray.angle)
+            for n in (1, 2, 50, 200):
+                assert dilatation_chain(p, z, n) == ref_dilatation_chain_matrix_free(p, z, n)
+        z = complex(1e300, -3e299)
+        assert dilatation_chain(p, z, 40) == ref_dilatation_chain_matrix_free(p, z, 40)
+
+
+def test_dilatation_on_ray_near_reference():
+    for p in regime_params(78):
+        for ray in fixed_rays(p).rays:
+            for n in range(1, 101):
+                assert abs(dilatation_on_ray(p, ray.angle, n)
+                           - ref_dilatation_on_ray(p, ray.angle, n)) <= 1e-12
+
+
+def test_distance_series_near_reference():
+    rng = random.Random(79)
+    for p in regime_params(79):
+        targets = [ray.angle for ray in fixed_rays(p).rays]
+        targets += [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    for _ in range(3)]
+        targets += [cmath.exp(1j * fixed_rays(p).rays[0].angle)]
+        for target in targets:
+            got = dilatation_distance_series(p, target, 200)
+            ref = ref_dilatation_distance_series(p, target, 200)
+            assert len(got) == len(ref) == 200
+            for d, r in zip(got, ref):
+                assert abs(d - r) <= 1e-12 * max(1.0, abs(r))
+
+
+def test_classify_point_equals_scalar_loop():
+    # radii log-uniform from inside r_attract to past R_ESCAPE, so that many
+    # points take tens of steps near the boundary of the two basins
+    rng = random.Random(80)
+    checked = 0
+    for _ in range(50):
+        p = make_params(1.0 + 10 ** rng.uniform(-1.5, 1.3),
+                        rng.uniform(-math.pi / 2, math.pi / 2))
+        lo, hi = math.log(0.5 * r_attract(p)), math.log(2.0 * R_ESCAPE)
+        max_iter = rng.choice((1, 2, 30, 60))
+        for _ in range(220):
+            z = cmath.rect(math.exp(rng.uniform(lo, hi)), rng.uniform(-math.pi, math.pi))
+            got = classify_point(p, z, max_iter)
+            assert type(got.n) is int
+            assert got == ref_classify_point(p, z, max_iter)
+            checked += 1
+    assert checked >= 10_000
 
 
 def test_classify_limit_bit_identical_to_reference():

@@ -60,6 +60,9 @@ def test_radial_fixed_point():
     assert radial_fixed_point(pv, 0.0) == pytest.approx(1.0)
     with pytest.raises(InvalidParameter):
         radial_fixed_point(p, 0.9)  # not a fixed angle
+    for phi in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match=f"phi={phi}"):
+            radial_fixed_point(p, phi)
 
 
 def test_radial_fixed_point_residual_all_rays():
