@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -190,7 +191,15 @@ def cmd_obstruct(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The qrdyn parser, built on the first call and shared after that.
+
+    Building it costs about 20 parses, and `main` may run many times in one
+    process.  Parsing leaves the parser unchanged and returns a fresh
+    Namespace, so the shared parser answers every argv as a new one would;
+    callers must not add to it.
+    """
     ap = _Parser(prog="qrdyn",
                  description="Dynamics of the quasiregular maps H = h_{K,theta}^2")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)

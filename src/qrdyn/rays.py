@@ -118,8 +118,17 @@ def solve_cubic(coeffs) -> list[tuple[float, int]]:
 
 
 def trace_sq_of_angle(K: float, phi: float) -> float:
-    """Squared trace of the dilatation Mobius map of the fixed ray at phi."""
-    return (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
+    """Squared trace of the dilatation Mobius map of the fixed ray at phi.
+
+    Raises InvalidParameter where it is not a finite number, as for K from
+    about 1e154 on, where (K + 1)^2 (1 + cos phi) overflows."""
+    try:
+        T = (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
+    except (ArithmeticError, ValueError):
+        T = math.nan
+    if not math.isfinite(T):
+        raise InvalidParameter(f"trace_sq is not finite at K={K!r}, phi={phi!r}")
+    return T
 
 
 def _make_ray(p: MapParams, phi: float, mult: int) -> FixedRay:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import qrdyn
 
+from qrdyn import cli
 from qrdyn.cli import main
 from qrdyn.rays import fixed_rays
 from qrdyn.core import make_params
@@ -275,6 +277,86 @@ def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as e:
         main(["ktheta", "--theta", "0.3", "--bogus"])
     assert e.value.code == 64
+
+
+def call(capsys, argv):
+    """main(argv) as (exit code, stdout, stderr); argparse's exits count."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def subcommands(ap):
+    return next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    # a usage error and a parameter error part-way through obstruct's flags,
+    # then a full obstruct call, then one without --K2 that must not see the
+    # --K2 of the call before it
+    argvs = [
+        ["obstruct", "--K", "2", "--theta", "0", "--K2", "x"],
+        ["obstruct", "--K", "0.5", "--theta", "0", "--K2", "4", "--theta2", "0"],
+        ["obstruct", "--K", "2", "--theta", "0", "--K2", "4", "--theta2", "0"],
+        ["obstruct", "--K", "2", "--theta", "0"],
+        ["fixed-rays", "--K", "4", "--theta", "0"],
+    ]
+    shared = [call(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in shared] == [64, 2, 0, 2, 0]
+    assert "need --K2" in shared[3][2]
+    # main builds a new parser on every call, as before the parser was shared
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [call(capsys, argv) for argv in argvs] == shared
+
+
+@pytest.mark.parametrize("columns", ["80", "52"])
+def test_shared_parser_help_and_usage_unchanged(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    fresh = cli.build_parser.__wrapped__()
+    cases = [([], fresh)] + [([name], sp) for name, sp in subcommands(fresh).items()]
+    assert len(cases) == 9
+    for prefix, parser in cases:
+        assert call(capsys, prefix + ["--help"]) == (0, parser.format_help(), "")
+        # a usage error of this parser: every subcommand has --K
+        code, _, err = call(capsys, prefix + ["--K", "x"] if prefix else [])
+        assert code == 64 and err.startswith(parser.format_usage())
+        # and the next call after those exits still works
+        code, out, _ = call(capsys, ["ktheta", "--theta", "0.5"])
+        assert code == 0 and json.loads(out)["K_theta"] > 2.0
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argvs = [
+        ["fixed-rays", "--K", "4", "--theta", "0"],
+        ["ktheta", "--theta", "0.5"],
+        ["orbit", "--K", "4", "--theta", "0", "--phi", "0.5", "--n", "10"],
+        ["growth", "--K", "2", "--theta", "0", "--phi", "0"],
+        ["julia", "--K", "4", "--theta", "0", "--count", "20"],
+        ["basin", "--K", "4", "--theta", "0"],
+        ["render", "--K", "2", "--theta", "0", "--window=-2,2,-2,2", "--res", "8",
+         "--max-iter", "20", "--out", str(tmp_path / "x.ppm")],
+        ["obstruct", "--K", "1.5", "--theta", "0", "--K2", "4", "--theta2", "0"],
+        ["ktheta", "--theta", "0.5", "--bogus"],
+        ["fixed-rays", "--K", "0.5", "--theta", "0"],
+    ]
+    codes = [call(capsys, argvs[i % len(argvs)])[0] for i in range(50)]
+    assert codes[:10] == [0] * 8 + [64, 2]
+    assert len(built) <= 9
+    built.clear()
+    cli.build_parser.__wrapped__()
+    assert len(built) == 9  # the top-level parser and 8 subcommands
 
 
 FUZZ_K = ["1.5", "2", "4", "1.0000001", "40", "1e6"]

@@ -19,7 +19,9 @@ arithmetic that changed:
   adds their determinant as log(1 - |mu|^2) per step instead of composing
   normalized inverses: within 1e-12 max(1, d) for n <= 200;
 - classify_point is a one-element _classify_block: the same (label, n) as
-  the scalar loop.
+  the scalar loop;
+- trace_sq_of_angle checks that its result is finite: the same bits
+  wherever the formula gave a finite number.
 """
 
 import cmath
@@ -40,7 +42,8 @@ from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
 from qrdyn.plane import (PointClass, PointResult, R_ESCAPE, classify_point,
                          r_attract)
-from qrdyn.rays import Stability, fixed_rays, k_theta, theta_of_K
+from qrdyn.rays import (Stability, fixed_rays, k_theta, theta_of_K,
+                        trace_sq_of_angle)
 
 
 # ------------------------------------------------------------- references
@@ -204,6 +207,10 @@ def ref_julia_sample(p, count, seed, depth=30):
         if i >= depth:
             out.append(x)
     return out
+
+
+def ref_trace_sq_of_angle(K, phi):
+    return (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
 
 
 # ----------------------------------------------------------------- inputs
@@ -384,3 +391,12 @@ def test_classify_limit_bit_identical_to_reference():
 def test_julia_sample_bit_identical_to_reference():
     for i, p in enumerate(regime_params(76)):
         assert julia_sample(p, 500, seed=i) == ref_julia_sample(p, 500, seed=i)
+
+
+def test_trace_sq_of_angle_bit_identical_to_reference():
+    rng = random.Random(80)
+    for p in regime_params(80):
+        phis = [r.angle for r in fixed_rays(p).rays]
+        phis += [rng.uniform(-math.pi, math.pi) for _ in range(20)] + [math.pi]
+        for phi in phis:
+            assert trace_sq_of_angle(p.K, phi) == ref_trace_sq_of_angle(p.K, phi)

@@ -149,6 +149,16 @@ def test_trace_sq_formula():
     assert trace_sq_of_angle(4.0, 0.0) == pytest.approx(6.25)
 
 
+@pytest.mark.parametrize("K,phi", [(1e200, 0.0), (1.5e154, 0.5), (1e154, 0.0),
+                                   (2.0, math.inf), (math.nan, 0.0)])
+def test_trace_sq_not_finite_is_invalid_parameter(K, phi):
+    # (K + 1)^2 overflows from K of about 1.3e154 on: that was a bare
+    # OverflowError, and an inf product was returned as trace_sq
+    with pytest.raises(InvalidParameter) as e:
+        trace_sq_of_angle(K, phi)
+    assert f"K={K!r}, phi={phi!r}" in str(e.value)
+
+
 def test_interval_J():
     p = make_params(4.0, 0.0)
     lo, hi = interval_J(p)
