@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 
 from .core import TAU, MapParams
-from .rays import Regime, RegimeReport, Stability, fixed_rays
+from .rays import Regime, Stability, fixed_rays
 from .errors import InvalidParameter, NoBasin, ResourceLimit
 
 SAMPLE_BURN_IN = 30
@@ -47,11 +47,10 @@ class JuliaClassification:
     regime: Regime
 
 
-def julia_classification(p: MapParams, report: RegimeReport | None = None) -> JuliaClassification:
+def julia_classification(p: MapParams) -> JuliaClassification:
     """Julia set of B: the whole circle in the one-ray regimes, a Cantor
     subset of the circle once a non-repelling ray exists."""
-    if report is None:
-        report = fixed_rays(p)
+    report = fixed_rays(p)
     if report.regime in (Regime.ONE_REPELLING, Regime.ONE_PARABOLIC):
         kind = JuliaKind.FULL_CIRCLE
     else:
@@ -116,9 +115,8 @@ class BasinInterval:
         return self.lo + margin < angle < self.hi - margin
 
 
-def immediate_basin(p: MapParams, report: RegimeReport | None = None) -> BasinInterval:
-    if report is None:
-        report = fixed_rays(p)
+def immediate_basin(p: MapParams) -> BasinInterval:
+    report = fixed_rays(p)
     if report.regime in (Regime.ONE_REPELLING, Regime.ONE_PARABOLIC):
         raise NoBasin("no non-repelling fixed ray in this regime")
     if report.regime is Regime.THREE:

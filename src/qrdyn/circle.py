@@ -99,8 +99,7 @@ class LimitReport:
 
 
 def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
-                   tol: float = 1e-9, confirm: int = 5,
-                   report=None) -> LimitReport:
+                   tol: float = 1e-9, confirm: int = 5) -> LimitReport:
     """Iterate the circle map and test for arrival at a fixed angle.
 
     Convergence to an angle is only reported after `confirm` consecutive
@@ -111,9 +110,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
 
     if max_iter < 0:
         raise InvalidParameter(f"need max_iter >= 0, got max_iter={max_iter}")
-    if report is None:
-        report = fixed_rays(p)
-    targets = [(r.angle, r.stability) for r in report.rays]
+    targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
 
     # circle_map and circle_dist written out with the same float operations,
     # so the report is bit-identical to calling them

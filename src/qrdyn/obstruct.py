@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import MapParams
 from .errors import InvalidParameter
-from .rays import RegimeReport, fixed_rays, k_theta
+from .rays import RegimeReport, Stability, fixed_rays
 
 TRACE_TOL = 1e-8          # relative tolerance for trace comparison
 BIFURCATION_BAND = 1e-10  # relative K-distance to K_theta treated as ambiguous
@@ -62,7 +62,7 @@ def _near_bifurcation(p: MapParams, report: RegimeReport) -> bool:
     rel = abs(p.K - report.k_theta) / report.k_theta
     if rel == 0.0 or rel > BIFURCATION_BAND:
         return False
-    return all(r.stability.value != "neutral" for r in report.rays)
+    return all(r.stability is not Stability.NEUTRAL for r in report.rays)
 
 
 def obstruction_report(p1: MapParams, p2: MapParams,

@@ -221,6 +221,6 @@ def write_stats(grid: PlaneGrid, p: MapParams, path: str) -> None:
                    "width": grid.window.width, "height": grid.window.height},
         "resolution": list(grid.resolution),
     })
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)

@@ -4,6 +4,7 @@ the bifurcation stretch K_theta, and the contraction interval J."""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -147,7 +148,18 @@ def _make_ray(p: MapParams, phi: float, mult: int) -> FixedRay:
 
 
 def fixed_rays(p: MapParams) -> RegimeReport:
-    """All fixed rays of H with stability classes and the regime."""
+    """All fixed rays of H with stability classes and the regime.
+
+    The report is computed once per map and shared by later calls on an
+    equal MapParams while it stays among the 64 most recently used; that
+    is safe because MapParams and RegimeReport are frozen."""
+    return _fixed_rays(p)
+
+
+# a survey job asks about its own map and one obstruction partner; a plain
+# function stays in front of the cache so that tracers still see the calls
+@functools.lru_cache(maxsize=64)
+def _fixed_rays(p: MapParams) -> RegimeReport:
     roots = solve_cubic(cubic_coeffs(p))
     rays = []
     for t, mult in roots:

@@ -98,7 +98,7 @@ def test_immediate_basin_three_rays():
     assert b.hi == pytest.approx(angles[2])
     assert not b.closed_lo and not b.closed_hi
     # interior points converge to the attracting angle
-    res = classify_limit(p, 0.5 * b.hi, report=rep)
+    res = classify_limit(p, 0.5 * b.hi)
     assert res.outcome is LimitOutcome.CONVERGED
     assert circle_dist(res.target, angles[1]) < 1e-9
 
@@ -108,7 +108,7 @@ def test_immediate_basin_two_rays_closed_at_neutral():
     p = make_params(k_theta(theta), theta)
     rep = fixed_rays(p)
     assert rep.regime is Regime.TWO_WITH_NEUTRAL
-    b = immediate_basin(p, rep)
+    b = immediate_basin(p)
     neutral = next(r.angle for r in rep.rays
                    if r.stability is Stability.NEUTRAL)
     assert (b.closed_lo and b.lo == neutral) or (b.closed_hi and b.hi == neutral)

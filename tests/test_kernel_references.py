@@ -21,10 +21,13 @@ arithmetic that changed:
 - classify_point is a one-element _classify_block: the same (label, n) as
   the scalar loop;
 - trace_sq_of_angle checks that its result is finite: the same bits
-  wherever the formula gave a finite number.
+  wherever the formula gave a finite number;
+- fixed_rays returns the report cached for its map: the same bits as the
+  uncached body computing it afresh.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -42,8 +45,8 @@ from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
 from qrdyn.plane import (PointClass, PointResult, R_ESCAPE, classify_point,
                          r_attract)
-from qrdyn.rays import (Stability, fixed_rays, k_theta, theta_of_K,
-                        trace_sq_of_angle)
+from qrdyn.rays import (Stability, _fixed_rays, fixed_rays, k_theta,
+                        theta_of_K, trace_sq_of_angle)
 
 
 # ------------------------------------------------------------- references
@@ -400,3 +403,16 @@ def test_trace_sq_of_angle_bit_identical_to_reference():
         phis += [rng.uniform(-math.pi, math.pi) for _ in range(20)] + [math.pi]
         for phi in phis:
             assert trace_sq_of_angle(p.K, phi) == ref_trace_sq_of_angle(p.K, phi)
+
+
+def test_cached_fixed_rays_bit_identical_to_fresh():
+    theta = 0.4
+    for p in regime_params(81) + [make_params(k_theta(theta), theta)]:
+        fixed_rays(p)  # the second call below is answered from the cache
+        got, want = fixed_rays(p), _fixed_rays.__wrapped__(p)
+        assert got.regime is want.regime
+        assert repr(got.k_theta) == repr(want.k_theta)
+        assert len(got.rays) == len(want.rays)
+        for a, b in zip(got.rays, want.rays):
+            for f in dataclasses.fields(a):
+                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name))

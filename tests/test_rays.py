@@ -1,14 +1,17 @@
+import inspect
 import math
 import random
 
 import pytest
 
-from qrdyn.circle import circle_map, circle_map_deriv
+from qrdyn.blaschke import immediate_basin, julia_classification, julia_sample
+from qrdyn.circle import circle_map, circle_map_deriv, classify_limit
 from qrdyn.core import circle_dist, make_params
-from qrdyn.errors import InvalidParameter
-from qrdyn.rays import (Regime, Stability, cubic_coeffs, fixed_rays,
-                        interval_J, k_theta, solve_cubic, theta_of_K,
-                        trace_sq_of_angle)
+from qrdyn.errors import InvalidParameter, NumericalFailure
+from qrdyn.obstruct import obstruction_report
+from qrdyn.rays import (Regime, Stability, _fixed_rays, cubic_coeffs,
+                        fixed_rays, interval_J, k_theta, solve_cubic,
+                        theta_of_K, trace_sq_of_angle)
 
 
 def bisect_fixed_angles_theta0(K):
@@ -170,3 +173,38 @@ def test_interval_J():
     assert interval_J(make_params(1.5, 0.0)) is None
     a, b = interval_J(make_params(2.0, 0.3))
     assert a == b == pytest.approx(0.3)
+
+
+def test_one_report_per_map():
+    p, partner = make_params(4.0, 0.1), make_params(3.0, -0.7)
+    _fixed_rays.cache_clear()
+    # the calls of one survey job
+    fixed_rays(p)
+    for phi in (-2.0, 0.1, 1.0):
+        classify_limit(p, phi, max_iter=200)
+    julia_classification(p)
+    immediate_basin(p)
+    julia_sample(p, 50, seed=1)
+    obstruction_report(p, partner)
+    info = _fixed_rays.cache_info()
+    assert info.misses == 2
+    assert info.hits == 7
+    for i in range(info.maxsize + 6):
+        fixed_rays(make_params(1.5 + 0.01 * i, 0.2))
+        assert _fixed_rays.cache_info().currsize <= info.maxsize
+    assert _fixed_rays.cache_info().currsize == info.maxsize
+
+
+def test_numerical_failure_is_not_cached():
+    # a known defect of the regime decision: the cubic's roots lose their
+    # accuracy at large K
+    p = make_params(172967547.29136255, 0.13268767588785568)
+    for _ in range(2):
+        with pytest.raises(NumericalFailure):
+            fixed_rays(p)
+
+
+def test_fixed_rays_is_a_plain_function():
+    # the benchmark's tracer only wraps plain functions, so an lru_cache
+    # object in its place would drop the fixed_rays spans
+    assert inspect.isfunction(fixed_rays)
