@@ -12,7 +12,8 @@ from .core import TAU, MapParams
 from .rays import Regime, Stability, fixed_rays
 from .errors import InvalidParameter, NoBasin, ResourceLimit
 
-SAMPLE_BURN_IN = 30
+SAMPLE_BURN_IN = 30      # julia_sample: backward steps discarded before sampling
+BASIN_MARGIN = 1e-9      # BasinInterval.contains: distance kept from both ends
 # the sample is a list of floats that `qrdyn julia` prints whole: at a
 # million angles it peaks near 280 MB
 MAX_SAMPLE_COUNT = 1_000_000
@@ -58,18 +59,14 @@ def julia_classification(p: MapParams) -> JuliaClassification:
     return JuliaClassification(kind=kind, regime=report.regime)
 
 
-def julia_sample(p: MapParams, count: int, seed: int,
-                 depth: int = SAMPLE_BURN_IN) -> list[float]:
+def julia_sample(p: MapParams, count: int, seed: int) -> list[float]:
     """Inverse-iteration sample of the Julia set on S^1.
 
     Random-branch backward orbit of a repelling fixed angle; the first
-    `depth` iterates are discarded as burn-in.  Deterministic for a given
-    seed.
+    SAMPLE_BURN_IN iterates are discarded.  Deterministic for a given seed.
     """
     if count < 1:
         raise InvalidParameter(f"need count >= 1, got count={count}")
-    if depth < 0:
-        raise InvalidParameter(f"need depth >= 0, got depth={depth}")
     if count > MAX_SAMPLE_COUNT:
         raise ResourceLimit(f"count {count} exceeds limit {MAX_SAMPLE_COUNT}")
     report = fixed_rays(p)
@@ -83,7 +80,7 @@ def julia_sample(p: MapParams, count: int, seed: int,
     atan2, sin, cos = math.atan2, math.sin, math.cos
     x = repellers[0].angle
     out = []
-    for i in range(count + depth):
+    for i in range(count + SAMPLE_BURN_IN):
         u = (x - 2.0 * theta) / 2.0
         x = (theta + atan2(K * sin(u), cos(u))) % TAU
         if x > pi:
@@ -92,7 +89,7 @@ def julia_sample(p: MapParams, count: int, seed: int,
             x = (x + pi) % TAU
             if x > pi:
                 x -= TAU
-        if i >= depth:
+        if i >= SAMPLE_BURN_IN:
             out.append(x)
     return out
 
@@ -111,8 +108,8 @@ class BasinInterval:
     closed_lo: bool
     closed_hi: bool
 
-    def contains(self, angle: float, margin: float = 1e-9) -> bool:
-        return self.lo + margin < angle < self.hi - margin
+    def contains(self, angle: float) -> bool:
+        return self.lo + BASIN_MARGIN < angle < self.hi - BASIN_MARGIN
 
 
 def immediate_basin(p: MapParams) -> BasinInterval:

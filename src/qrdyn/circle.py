@@ -17,7 +17,10 @@ MAX_TREE_DEPTH = 20
 # 280 MB
 MAX_ORBIT_LEN = 1_000_000
 DEDUP_TOL = 1e-13
-FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi
+FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi,
+                         # per unit of max(1, H~'(phi))
+LIMIT_TOL = 1e-9         # classify_limit: circle distance that counts as arrival
+LIMIT_CONFIRM = 5        # classify_limit: consecutive arrivals before reporting
 
 
 def circle_map(p: MapParams, phi: float) -> float:
@@ -25,14 +28,23 @@ def circle_map(p: MapParams, phi: float) -> float:
     return normalize_angle(2.0 * arg_h(p, phi))
 
 
+def is_fixed_angle(p: MapParams, phi: float) -> bool:
+    """Whether phi is finite and H~(phi) is within
+    FIXED_RESIDUAL * max(1, H~'(phi)) of phi.
+
+    An error in phi comes back in H~(phi) multiplied by H~'(phi), which
+    reaches about 2K, so a flat bound would reject even the float nearest
+    a fixed angle once K is large."""
+    return math.isfinite(phi) and circle_dist(circle_map(p, phi), phi) \
+        <= FIXED_RESIDUAL * max(1.0, circle_map_deriv(p, phi))
+
+
 def require_fixed_angle(p: MapParams, phi: float) -> None:
-    """Raise InvalidParameter unless H~(phi) is within FIXED_RESIDUAL of phi."""
-    # a non-finite phi has no image; NaN fails the comparison below
-    resid = circle_dist(circle_map(p, phi), phi) if math.isfinite(phi) else math.nan
-    if not resid <= FIXED_RESIDUAL:
+    """Raise InvalidParameter unless is_fixed_angle(p, phi)."""
+    if not is_fixed_angle(p, phi):
         raise InvalidParameter(
             f"phi={phi!r} is not a fixed angle of the circle map at K={p.K!r}, "
-            f"theta={p.theta!r}: residual {resid:.3e} > {FIXED_RESIDUAL}")
+            f"theta={p.theta!r}")
 
 
 def circle_map_lift(p: MapParams, phi: float) -> float:
@@ -98,13 +110,12 @@ class LimitReport:
     final_angle: float
 
 
-def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
-                   tol: float = 1e-9, confirm: int = 5) -> LimitReport:
+def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitReport:
     """Iterate the circle map and test for arrival at a fixed angle.
 
-    Convergence to an angle is only reported after `confirm` consecutive
-    iterates within `tol` circle distance of it; neutral attraction is slow,
-    so a single close pass is not trusted.
+    Convergence to an angle is only reported after LIMIT_CONFIRM consecutive
+    iterates within LIMIT_TOL circle distance of it; neutral attraction is
+    slow, so a single close pass is not trusted.
     """
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
@@ -114,7 +125,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
 
     # circle_map and circle_dist written out with the same float operations,
     # so the report is bit-identical to calling them
-    K, theta, pi = p.K, p.theta, math.pi
+    K, theta, pi, tol = p.K, p.theta, math.pi, LIMIT_TOL
     atan2, sin, cos = math.atan2, math.sin, math.cos
     cur = normalize_angle(phi)
     streak_idx = -1
@@ -135,7 +146,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000,
             streak_idx = hit
             streak_len = 1 if hit >= 0 else 0
             streak_start = it
-        if streak_len >= confirm:
+        if streak_len >= LIMIT_CONFIRM:
             ang, stab = targets[streak_idx]
             if stab is Stability.REPELLING:
                 return LimitReport(LimitOutcome.LANDED_ON_REPELLER, ang,

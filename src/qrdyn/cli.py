@@ -19,7 +19,7 @@ from .rays import fixed_rays, k_theta
 from .mobius import dilatation_distance_series, growth_fit
 from .blaschke import julia_classification, julia_sample, immediate_basin
 from .plane import Window, render_grid, write_ppm, write_stats
-from .obstruct import obstruction_report
+from .obstruct import TRACE_TOL, obstruction_report
 from .errors import (InvalidParameter, NoBasin, NumericalFailure,
                      ResourceLimit)
 
@@ -117,9 +117,9 @@ def cmd_fixed_rays(args):
 def cmd_ktheta(args):
     if args.theta is None:
         raise InvalidParameter("need --theta")
-    K = k_theta(_angle(args, args.theta))
-    _emit(args, [(args.theta, K)], ["theta", "K_theta"],
-          {"theta": _angle(args, args.theta), "K_theta": K})
+    theta = _angle(args, args.theta)
+    K = k_theta(theta)
+    _emit(args, [(theta, K)], ["theta", "K_theta"], {"theta": theta, "K_theta": K})
     return 0
 
 
@@ -244,7 +244,7 @@ def build_parser():
     sp.add_argument("--K2", type=float, default=None)
     sp.add_argument("--theta2", type=float, default=None)
     sp.add_argument("--mu2", type=str, default=None, metavar="RE,IM")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=TRACE_TOL)
 
     return ap
 

@@ -93,10 +93,12 @@ class PlaneGrid:
 
     def stats(self) -> dict:
         total = self.labels.size
+        # the counts are exact, so each fraction is rounded once
+        frac = np.bincount(self.labels.ravel(), minlength=3) / total
         return {
-            "escaped_fraction": float(np.mean(self.labels == 1)),
-            "attracted_fraction": float(np.mean(self.labels == 2)),
-            "undecided_fraction": float(np.mean(self.labels == 0)),
+            "escaped_fraction": float(frac[1]),
+            "attracted_fraction": float(frac[2]),
+            "undecided_fraction": float(frac[0]),
             "pixels": int(total),
             "max_iter": self.max_iter,
         }

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, circle_dist, normalize_angle
-from .circle import FIXED_RESIDUAL, circle_map, circle_map_deriv
+from .core import MapParams, normalize_angle
+from .circle import circle_map_deriv, is_fixed_angle
 from .errors import InvalidParameter, NumericalFailure
 from .mobius import contraction_k
 
@@ -82,9 +82,6 @@ def solve_cubic(coeffs) -> list[tuple[float, int]]:
     # merge below treats the whole cluster as one root
     real = [(r.real, abs(r.imag)) for r in rts
             if abs(r.imag) <= 1e-5 * (1.0 + abs(r))]
-    if not real:  # cannot happen for a real cubic, but stay safe
-        r = min(rts, key=lambda r: abs(r.imag))
-        real = [(r.real, abs(r.imag))]
 
     polished = []
     for t, im in real:
@@ -164,16 +161,8 @@ def _fixed_rays(p: MapParams) -> RegimeReport:
     rays = []
     for t, mult in roots:
         phi = normalize_angle(p.theta + 2.0 * math.atan(t))
-        image = circle_map(p, phi)
-        if circle_dist(image, phi) > FIXED_RESIDUAL:
-            # pi-periodicity of H~ can hand us the antipodal branch
-            alt = normalize_angle(phi + math.pi)
-            if circle_dist(circle_map(p, alt), alt) <= FIXED_RESIDUAL:
-                phi = alt
-            else:
-                raise NumericalFailure(
-                    f"root t={t} gives non-fixed angle {phi} "
-                    f"(residual {circle_dist(image, phi):.3e})")
+        if not is_fixed_angle(p, phi):
+            raise NumericalFailure(f"root t={t} gives non-fixed angle {phi}")
         rays.append(_make_ray(p, phi, mult))
     rays.sort(key=lambda r: r.angle)
 

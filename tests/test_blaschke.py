@@ -67,11 +67,8 @@ def test_julia_sample_deterministic_and_avoids_basin():
 
 def test_julia_sample_rejects_out_of_domain():
     p = make_params(2.0, 0.3)
-    with pytest.raises(InvalidParameter, match="depth=-5"):
-        julia_sample(p, 2, 1, depth=-5)
     with pytest.raises(InvalidParameter, match="count=0"):
         julia_sample(p, 0, 1)
-    assert len(julia_sample(p, 2, 1, depth=0)) == 2
 
 
 @pytest.mark.parametrize("count", [MAX_SAMPLE_COUNT + 1, 10 ** 20])

@@ -15,6 +15,7 @@ import qrdyn
 
 from qrdyn import cli
 from qrdyn.cli import main
+from qrdyn.obstruct import TRACE_TOL
 from qrdyn.rays import fixed_rays
 from qrdyn.core import make_params
 
@@ -86,6 +87,18 @@ def test_degrees_flag(capsys):
         json.loads(out2)["K_theta"], rel=1e-9)
 
 
+def test_ktheta_degrees_writes_radians_in_both_formats(capsys):
+    code1, out1 = run(capsys, "ktheta", "--theta", "30", "--degrees",
+                      "--format", "csv")
+    code2, out2 = run(capsys, "ktheta", "--theta", "30", "--degrees")
+    assert code1 == code2 == 0
+    rows = list(csv.DictReader(out1.splitlines()))
+    payload = json.loads(out2)
+    assert rows == [{"theta": repr(payload["theta"]),
+                     "K_theta": repr(payload["K_theta"])}]
+    assert payload["theta"] == math.radians(30.0)
+
+
 def test_ktheta_known_value(capsys):
     code, out = run(capsys, "ktheta", "--theta", "0.5235988")
     assert code == 0
@@ -138,6 +151,7 @@ def test_obstruct_json(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "obstructed"
     assert payload["reason"] == "ray_count_mismatch"
+    assert payload["config"]["tol"] == TRACE_TOL
 
 
 def test_render_outputs(tmp_path):

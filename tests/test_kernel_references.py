@@ -23,7 +23,10 @@ arithmetic that changed:
 - trace_sq_of_angle checks that its result is finite: the same bits
   wherever the formula gave a finite number;
 - fixed_rays returns the report cached for its map: the same bits as the
-  uncached body computing it afresh.
+  uncached body computing it afresh;
+- fixed_rays accepts a root's angle when its residual is within 1e-8 times
+  max(1, H~'), not within a flat 1e-8, and has no antipodal retry: the same
+  bits wherever the flat bound returned a report.
 """
 
 import cmath
@@ -40,12 +43,14 @@ from qrdyn.circle import (DEDUP_TOL, LimitOutcome, LimitReport,
                           circle_preimages, classify_limit, converged_fraction)
 from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
                         normalize_angle)
+from qrdyn.errors import NumericalFailure
 from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
 from qrdyn.plane import (PointClass, PointResult, R_ESCAPE, classify_point,
                          r_attract)
-from qrdyn.rays import (Stability, _fixed_rays, fixed_rays, k_theta,
+from qrdyn.rays import (Regime, RegimeReport, Stability, _fixed_rays, _make_ray,
+                        cubic_coeffs, fixed_rays, k_theta, solve_cubic,
                         theta_of_K, trace_sq_of_angle)
 
 
@@ -214,6 +219,40 @@ def ref_julia_sample(p, count, seed, depth=30):
 
 def ref_trace_sq_of_angle(K, phi):
     return (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
+
+
+def ref_fixed_rays(p):
+    roots = solve_cubic(cubic_coeffs(p))
+    rays = []
+    for t, mult in roots:
+        phi = normalize_angle(p.theta + 2.0 * math.atan(t))
+        image = circle_map(p, phi)
+        if circle_dist(image, phi) > 1e-8:
+            # pi-periodicity of H~ can hand us the antipodal branch
+            alt = normalize_angle(phi + math.pi)
+            if circle_dist(circle_map(p, alt), alt) <= 1e-8:
+                phi = alt
+            else:
+                raise NumericalFailure(
+                    f"root t={t} gives non-fixed angle {phi} "
+                    f"(residual {circle_dist(image, phi):.3e})")
+        rays.append(_make_ray(p, phi, mult))
+    rays.sort(key=lambda r: r.angle)
+
+    stabs = {r.stability for r in rays}
+    total = sum(m for _, m in roots)
+    if len(rays) == 3:
+        regime = Regime.THREE
+    elif len(rays) == 2:
+        regime = Regime.TWO_WITH_NEUTRAL
+    elif total == 3 or Stability.NEUTRAL in stabs:
+        regime = Regime.ONE_PARABOLIC
+    else:
+        regime = Regime.ONE_REPELLING
+
+    abs_theta = abs(p.theta)
+    kt = k_theta(abs_theta) if abs_theta < math.pi / 2 else None
+    return RegimeReport(regime=regime, rays=tuple(rays), k_theta=kt)
 
 
 # ----------------------------------------------------------------- inputs
@@ -416,3 +455,21 @@ def test_cached_fixed_rays_bit_identical_to_fresh():
         for a, b in zip(got.rays, want.rays):
             for f in dataclasses.fields(a):
                 assert repr(getattr(a, f.name)) == repr(getattr(b, f.name))
+
+
+def test_fixed_rays_bit_identical_to_flat_bound_reference():
+    rng = random.Random(82)
+    maps = regime_params(82)
+    for _ in range(2000):
+        theta = rng.choice((rng.uniform(-math.pi / 2, math.pi / 2),
+                            rng.uniform(-1e-3, 1e-3), 0.0))
+        maps.append(make_params(1.0 + 10 ** rng.uniform(-12.0, 15.0), theta))
+    returned = 0
+    for p in maps:
+        try:
+            want = ref_fixed_rays(p)
+        except NumericalFailure:  # the flat bound failed most maps at large K
+            continue
+        assert repr(_fixed_rays.__wrapped__(p)) == repr(want)
+        returned += 1
+    assert returned >= 1000

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import qrdyn.rays
 from qrdyn.blaschke import immediate_basin, julia_classification, julia_sample
-from qrdyn.circle import circle_map, circle_map_deriv, classify_limit
+from qrdyn.circle import (circle_map, circle_map_deriv, classify_limit,
+                          require_fixed_angle)
 from qrdyn.core import circle_dist, make_params
 from qrdyn.errors import InvalidParameter, NumericalFailure
 from qrdyn.obstruct import obstruction_report
@@ -195,13 +197,38 @@ def test_one_report_per_map():
     assert _fixed_rays.cache_info().currsize == info.maxsize
 
 
-def test_numerical_failure_is_not_cached():
-    # a known defect of the regime decision: the cubic's roots lose their
-    # accuracy at large K
-    p = make_params(172967547.29136255, 0.13268767588785568)
+def test_numerical_failure_is_not_cached(monkeypatch):
+    calls = []
+
+    def failing_solve_cubic(coeffs):
+        calls.append(coeffs)
+        raise NumericalFailure("injected")
+
+    monkeypatch.setattr(qrdyn.rays, "solve_cubic", failing_solve_cubic)
+    _fixed_rays.cache_clear()
+    p = make_params(4.0, 0.1)
     for _ in range(2):
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match="injected"):
             fixed_rays(p)
+    assert len(calls) == 2
+
+
+def test_fixed_rays_at_large_K():
+    # the float nearest a fixed angle leaves a residual of about
+    # H~'(phi) * eps, and H~' reaches about 2K: a flat 1e-8 bound on the
+    # residual failed the first map below (multiplier 1.96e8, residual 4.9e-8)
+    # and most maps with K above about 10^7.5
+    rng = random.Random(2)
+    maps = [make_params(172967547.29136255, 0.13268767588785568)]
+    maps += [make_params(10 ** rng.uniform(4.0, 15.0), rng.uniform(-1.5, 1.5))
+             for _ in range(300)]
+    for p in maps:
+        rep = _fixed_rays.__wrapped__(p)
+        if p.K >= 2.0 * k_theta(abs(p.theta)):
+            assert rep.regime is Regime.THREE, p
+        for r in rep.rays:
+            require_fixed_angle(p, r.angle)
+            assert r.multiplier == circle_map_deriv(p, r.angle)
 
 
 def test_fixed_rays_is_a_plain_function():
