@@ -47,10 +47,11 @@ def mobius_apply(m: DiskMobius, w: complex) -> complex:
 
 
 def contraction_k(T: float) -> float:
-    """Half-plane contraction factor of a hyperbolic map with tr^2 = T."""
+    """Half-plane contraction factor of a hyperbolic map with tr^2 = T; unlike
+    (T - 2 - sqrt(T^2 - 4T))/2 this form does not cancel at large T."""
     if T <= 4.0:
         raise InvalidParameter(f"need tr^2 > 4 for a hyperbolic map, got {T}")
-    return (T - 2.0 - math.sqrt(T * T - 4.0 * T)) / 2.0
+    return 2.0 / (T - 2.0 + math.sqrt(T) * math.sqrt(T - 4.0))
 
 
 def hyperbolic_dist(w1: complex, w2: complex) -> float:

@@ -25,8 +25,12 @@ arithmetic that changed:
 - fixed_rays returns the report cached for its map: the same bits as the
   uncached body computing it afresh;
 - fixed_rays accepts a root's angle when its residual is within 1e-8 times
-  max(1, H~'), not within a flat 1e-8, and has no antipodal retry: the same
-  bits wherever the flat bound returned a report.
+  max(1, H~'), not within a flat 1e-8, has no antipodal retry, and
+  solve_cubic has no fallback for a cubic without real roots: the same bits
+  wherever the flat bound returned a report, but for contraction_k;
+- contraction_k is 2/(T - 2 + sqrt(T) sqrt(T - 4)), not
+  (T - 2 - sqrt(T^2 - 4T))/2: the two differ by no more than the rounding
+  error of the latter, which grows as eps T^2/(4 sqrt(T (T - 4))).
 """
 
 import cmath
@@ -40,18 +44,19 @@ import pytest
 from qrdyn.blaschke import julia_sample
 from qrdyn.circle import (DEDUP_TOL, LimitOutcome, LimitReport,
                           _dedup_sorted, backward_tree, circle_map,
-                          circle_preimages, classify_limit, converged_fraction)
+                          circle_map_deriv, circle_preimages, classify_limit,
+                          converged_fraction)
 from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
                         normalize_angle)
-from qrdyn.errors import NumericalFailure
+from qrdyn.errors import InvalidParameter, NumericalFailure
 from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
 from qrdyn.plane import (PointClass, PointResult, R_ESCAPE, classify_point,
                          r_attract)
-from qrdyn.rays import (Regime, RegimeReport, Stability, _fixed_rays, _make_ray,
-                        cubic_coeffs, fixed_rays, k_theta, solve_cubic,
-                        theta_of_K, trace_sq_of_angle)
+from qrdyn.rays import (NEUTRAL_BAND, ROOT_MERGE, FixedRay, Regime,
+                        RegimeReport, Stability, _fixed_rays, cubic_coeffs,
+                        fixed_rays, k_theta, theta_of_K, trace_sq_of_angle)
 
 
 # ------------------------------------------------------------- references
@@ -221,8 +226,88 @@ def ref_trace_sq_of_angle(K, phi):
     return (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
 
 
+def ref_contraction_k(T):
+    return (T - 2.0 - math.sqrt(T * T - 4.0 * T)) / 2.0
+
+
+def ref_contraction_error(T):
+    """Bound on |ref_contraction_k(T) - contraction_k(T)|: the former's
+    rounding, eps T^2 in T*T - 4T taken through the square root s and
+    eps (T + s) / 2 from the rest, plus the latter's of a few eps."""
+    eps = np.finfo(float).eps
+    s = math.sqrt(T * T - 4.0 * T)
+    return eps * (T * T / (4.0 * s) + T + 2.0)
+
+
+def ref_poly(coeffs, t):
+    a, b, c, d = coeffs
+    return ((a * t + b) * t + c) * t + d
+
+
+def ref_dpoly(coeffs, t):
+    a, b, c, _ = coeffs
+    return (3.0 * a * t + 2.0 * b) * t + c
+
+
+def ref_solve_cubic(coeffs):
+    a = coeffs[0]
+    if a == 0.0:
+        raise InvalidParameter("leading coefficient must be nonzero")
+    rts = np.roots(list(coeffs))
+    real = [(r.real, abs(r.imag)) for r in rts
+            if abs(r.imag) <= 1e-5 * (1.0 + abs(r))]
+    if not real:  # cannot happen for a real cubic, but stay safe
+        r = min(rts, key=lambda r: abs(r.imag))
+        real = [(r.real, abs(r.imag))]
+
+    polished = []
+    for t, im in real:
+        for _ in range(2):
+            d = ref_dpoly(coeffs, t)
+            if abs(d) < 1e-12:
+                break
+            step = ref_poly(coeffs, t) / d
+            if abs(step) > 1.0:
+                break
+            t -= step
+        polished.append((t, im))
+    polished.sort()
+
+    merged = []
+    for t, im in polished:
+        if merged:
+            prev, m, pim = merged[-1]
+            tol = max(ROOT_MERGE * (1.0 + abs(t)), 3.0 * (im + pim))
+            if abs(t - prev) <= tol:
+                merged[-1] = ((prev * m + t) / (m + 1), m + 1, max(im, pim))
+                continue
+        merged.append((t, 1, im))
+    merged = [(t, m) for t, m, _ in merged]
+
+    scale = max(abs(c) for c in coeffs)
+    for t, m in merged:
+        resid = abs(ref_poly(coeffs, t))
+        if m == 1 and resid > 1e-10 * scale * (1.0 + abs(t)) ** 3:
+            raise NumericalFailure(f"cubic root residual {resid} at t={t}")
+    return merged
+
+
+def ref_make_ray(p, phi, mult):
+    m = circle_map_deriv(p, phi)
+    if mult >= 2 or abs(m - 1.0) < NEUTRAL_BAND:
+        stab = Stability.NEUTRAL
+    elif m < 1.0:
+        stab = Stability.ATTRACTING
+    else:
+        stab = Stability.REPELLING
+    T = trace_sq_of_angle(p.K, phi)
+    k = ref_contraction_k(T) if T > 4.0 else 1.0
+    return FixedRay(angle=phi, multiplier=m, stability=stab,
+                    trace_sq=T, contraction_k=k)
+
+
 def ref_fixed_rays(p):
-    roots = solve_cubic(cubic_coeffs(p))
+    roots = ref_solve_cubic(cubic_coeffs(p))
     rays = []
     for t, mult in roots:
         phi = normalize_angle(p.theta + 2.0 * math.atan(t))
@@ -236,7 +321,7 @@ def ref_fixed_rays(p):
                 raise NumericalFailure(
                     f"root t={t} gives non-fixed angle {phi} "
                     f"(residual {circle_dist(image, phi):.3e})")
-        rays.append(_make_ray(p, phi, mult))
+        rays.append(ref_make_ray(p, phi, mult))
     rays.sort(key=lambda r: r.angle)
 
     stabs = {r.stability for r in rays}
@@ -457,6 +542,11 @@ def test_cached_fixed_rays_bit_identical_to_fresh():
                 assert repr(getattr(a, f.name)) == repr(getattr(b, f.name))
 
 
+def without_k(rep):
+    return dataclasses.replace(rep, rays=tuple(
+        dataclasses.replace(r, contraction_k=None) for r in rep.rays))
+
+
 def test_fixed_rays_bit_identical_to_flat_bound_reference():
     rng = random.Random(82)
     maps = regime_params(82)
@@ -470,6 +560,11 @@ def test_fixed_rays_bit_identical_to_flat_bound_reference():
             want = ref_fixed_rays(p)
         except NumericalFailure:  # the flat bound failed most maps at large K
             continue
-        assert repr(_fixed_rays.__wrapped__(p)) == repr(want)
+        got = _fixed_rays.__wrapped__(p)
+        assert repr(without_k(got)) == repr(without_k(want))
+        for a, b in zip(got.rays, want.rays):
+            if b.trace_sq > 4.0:
+                assert abs(a.contraction_k - b.contraction_k) \
+                    <= ref_contraction_error(b.trace_sq)
         returned += 1
     assert returned >= 1000

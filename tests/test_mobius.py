@@ -1,7 +1,9 @@
 import cmath
+import decimal
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -68,6 +70,22 @@ def test_contraction_examples():
         assert k + 1.0 / k + 2.0 == pytest.approx(T, rel=1e-10)
     with pytest.raises(InvalidParameter):
         contraction_k(4.0)
+
+
+def test_contraction_matches_its_exact_value():
+    # (T - 2 - sqrt(T^2 - 4T))/2 in 80 digits; the same expression in floats
+    # lost eps T^2 of relative accuracy and returned 0 from T ~ 1e8, and
+    # fixed_rays reports tr^2 up to about 2.4e16
+    rng = random.Random(25)
+    eps = sys.float_info.epsilon
+    for _ in range(2000):
+        T = 4.0 + 10 ** rng.uniform(-14.0, 16.5)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            D = decimal.Decimal(T)
+            exact = (D - 2 - (D * D - 4 * D).sqrt()) / 2
+            assert abs(decimal.Decimal(contraction_k(T)) - exact) \
+                <= decimal.Decimal(4.0 * eps) * exact, T
 
 
 def test_fixed_ray_mobius_hyperbolic_with_expected_trace():

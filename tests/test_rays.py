@@ -10,6 +10,7 @@ from qrdyn.circle import (circle_map, circle_map_deriv, classify_limit,
                           require_fixed_angle)
 from qrdyn.core import circle_dist, make_params
 from qrdyn.errors import InvalidParameter, NumericalFailure
+from qrdyn.mobius import contraction_k
 from qrdyn.obstruct import obstruction_report
 from qrdyn.rays import (Regime, Stability, _fixed_rays, cubic_coeffs,
                         fixed_rays, interval_J, k_theta, solve_cubic,
@@ -222,13 +223,34 @@ def test_fixed_rays_at_large_K():
     maps = [make_params(172967547.29136255, 0.13268767588785568)]
     maps += [make_params(10 ** rng.uniform(4.0, 15.0), rng.uniform(-1.5, 1.5))
              for _ in range(300)]
+    # ROADMAP item 1's probe: the flat bound raised on 282 of these
+    maps += [make_params(10 ** rng.uniform(8.0, 9.0),
+                         rng.uniform(-math.pi / 2, math.pi / 2))
+             for _ in range(300)]
+    # one and three rays on either side of K_theta in [1e4, 1e8], at least
+    # 5% away from it: closer, the ray-count band still reports
+    # two_with_neutral or raises at these K (ROADMAP item 1, still open)
+    for _ in range(200):
+        theta = math.acos(math.sqrt(8.0 / 10 ** rng.uniform(4.0, 8.0)))
+        stretch = 1.0 + rng.choice((1.0, -1.0)) * rng.uniform(0.05, 0.95)
+        maps.append(make_params(k_theta(theta) * stretch,
+                                theta * rng.choice((1.0, -1.0))))
     for p in maps:
         rep = _fixed_rays.__wrapped__(p)
-        if p.K >= 2.0 * k_theta(abs(p.theta)):
-            assert rep.regime is Regime.THREE, p
+        kt = k_theta(abs(p.theta))
+        assert abs(p.K / kt - 1.0) >= 0.05, p
+        want = Regime.THREE if p.K > kt else Regime.ONE_REPELLING
+        assert rep.regime is want, p
         for r in rep.rays:
             require_fixed_angle(p, r.angle)
             assert r.multiplier == circle_map_deriv(p, r.angle)
+            assert r.trace_sq == trace_sq_of_angle(p.K, r.angle)
+            # contraction_k is pinned to its exact value in test_mobius
+            if r.trace_sq > 4.0:
+                assert r.contraction_k == contraction_k(r.trace_sq)
+                assert 0.0 < r.contraction_k < 1.0, p
+            else:
+                assert r.contraction_k == 1.0
 
 
 def test_fixed_rays_is_a_plain_function():
