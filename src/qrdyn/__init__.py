@@ -15,8 +15,8 @@ from .circle import (circle_map, circle_map_lift, circle_map_deriv,
                      circle_preimages, orbit, classify_limit, backward_tree,
                      BackwardTree, LimitOutcome, LimitReport)
 from .rays import (FixedRay, RegimeReport, Regime, Stability, fixed_rays,
-                   solve_cubic, cubic_coeffs, trace_sq_of_angle, theta_of_K,
-                   k_theta, interval_J)
+                   cubic_coeffs, trace_sq_of_angle, theta_of_K, k_theta,
+                   interval_J)
 from .mobius import (DiskMobius, mobius_apply, contraction_k, hyperbolic_dist,
                      fixed_ray_mobius, dilatation_on_ray, dilatation_chain,
                      dilatation_distance_series, growth_fit, GrowthFit)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 from .core import MapParams
 from .errors import InvalidParameter
-from .rays import RegimeReport, Stability, fixed_rays
+from .rays import Regime, fixed_rays, quartic
 
 TRACE_TOL = 1e-8          # relative tolerance for trace comparison
-BIFURCATION_BAND = 1e-10  # relative K-distance to K_theta treated as ambiguous
 
 
 class Verdict(enum.Enum):
@@ -54,17 +53,6 @@ class ObstructionVerdict:
         }
 
 
-def _near_bifurcation(p: MapParams, report: RegimeReport) -> bool:
-    """True when K sits so close to K_theta that the regime call is
-    numerically ambiguous (and no neutral ray was actually detected)."""
-    if report.k_theta is None:
-        return False
-    rel = abs(p.K - report.k_theta) / report.k_theta
-    if rel == 0.0 or rel > BIFURCATION_BAND:
-        return False
-    return all(r.stability is not Stability.NEUTRAL for r in report.rays)
-
-
 def obstruction_report(p1: MapParams, p2: MapParams,
                        tol: float = TRACE_TOL) -> ObstructionVerdict:
     """Compare two parameter pairs for a provable non-equivalence."""
@@ -82,10 +70,13 @@ def obstruction_report(p1: MapParams, p2: MapParams,
                                   k_theta_1=kt1, k_theta_2=kt2,
                                   diagnostic=diag)
 
-    if _near_bifurcation(p1, rep1) or _near_bifurcation(p2, rep2):
-        return result(Verdict.INCONCLUSIVE, None,
-                      "stretch within bifurcation band of K_theta; "
-                      "ray count numerically ambiguous")
+    for p, rep in ((p1, rep1), (p2, rep2)):
+        if rep.regime is Regime.TWO_WITH_NEUTRAL:
+            F, terms, _ = quartic(p)
+            return result(Verdict.INCONCLUSIVE, None,
+                          f"K={p.K!r}, theta={p.theta!r} is at the bifurcation "
+                          f"K_theta, |F|/terms={float(abs(F) / terms):.3g}; "
+                          "ray count numerically ambiguous")
 
     if len(rep1.rays) != len(rep2.rays):
         return result(Verdict.OBSTRUCTED, Reason.RAY_COUNT_MISMATCH,

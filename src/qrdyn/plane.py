@@ -93,12 +93,13 @@ class PlaneGrid:
 
     def stats(self) -> dict:
         total = self.labels.size
-        # the counts are exact, so each fraction is rounded once
-        frac = np.bincount(self.labels.ravel(), minlength=3) / total
+        # the counts are exact, so each fraction is rounded once;
+        # np.bincount would first copy the uint8 labels to intp
+        n = [int(np.count_nonzero(self.labels == k)) for k in range(3)]
         return {
-            "escaped_fraction": float(frac[1]),
-            "attracted_fraction": float(frac[2]),
-            "undecided_fraction": float(frac[0]),
+            "escaped_fraction": n[1] / total,
+            "attracted_fraction": n[2] / total,
+            "undecided_fraction": n[0] / total,
             "pixels": int(total),
             "max_iter": self.max_iter,
         }

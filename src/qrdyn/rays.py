@@ -8,16 +8,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .core import MapParams, normalize_angle
 from .circle import circle_map_deriv, is_fixed_angle
 from .errors import InvalidParameter, NumericalFailure
 from .mobius import contraction_k
-
-NEUTRAL_BAND = 1e-9      # |H~' - 1| below this is neutral
-ROOT_MERGE = 1e-7        # cubic roots closer than this coincide
 
 
 class Stability(enum.Enum):
@@ -61,58 +57,83 @@ def _poly(coeffs, t):
     return ((a * t + b) * t + c) * t + d
 
 
-def _dpoly(coeffs, t):
-    a, b, c, _ = coeffs
-    return (3.0 * a * t + 2.0 * b) * t + c
+def _theta_resolution(theta: float) -> float:
+    """tau(theta): how closely k_theta matches a direction theta >= 0.
+
+    theta_of_K(K) = acos(f) with 1 - f ~ theta^2/2 near K = 2, so the
+    rounding of f alone perturbs theta by ~eps/theta; the residual cannot
+    beat that for small theta.  k_theta(0) = 2 is exact."""
+    return max(1e-12, 8.0 * sys.float_info.epsilon / theta) if theta else 0.0
 
 
-def solve_cubic(coeffs) -> list[tuple[float, int]]:
-    """Real roots of the cubic as sorted (root, multiplicity) pairs.
+def quartic(p: MapParams) -> tuple[Fraction, Fraction, float]:
+    """(F, terms, band): the fixed-ray count from the sign of one quartic.
 
-    Companion-matrix roots polished with two Newton steps; roots closer
-    than ROOT_MERGE are merged, which is what makes the double root at the
-    bifurcation detectable.
+    F = c^2 (K+1)^3 (K-1) - (2K-1)^3, c = cos theta, is the cubic's
+    discriminant up to a positive factor, exact on the floats K and c:
+    F > 0 gives three rays, F < 0 one.  terms is the sum of F's two terms.
+    With |F| <= band = |dF/dtheta| tau(|theta|) a map is as near K_theta as
+    k_theta places it: at the bifurcation."""
+    K, c = Fraction(p.K), Fraction(math.cos(p.theta))
+    x = (K + 1) ** 3 * (K - 1)
+    u, v = c * c * x, (2 * K - 1) ** 3
+    band = (2.0 * abs(math.cos(p.theta) * math.sin(p.theta)) * float(x)
+            * _theta_resolution(abs(p.theta)))
+    return u - v, u + v, band
+
+
+def _root(coeffs, lo: float, hi: float) -> float:
+    """The cubic's root between lo and hi, where its values have opposite
+    signs, bisected until lo and hi are adjacent floats."""
+    lo_neg = _poly(coeffs, lo) < 0.0
+    while True:
+        # split at 0 first: halving towards 0 would run into the subnormals
+        mid = 0.0 if lo * hi < 0.0 else 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return min(lo, hi, key=lambda t: abs(_poly(coeffs, t)))
+        v = _poly(coeffs, mid)
+        if v == 0.0:
+            return mid
+        if (v < 0.0) == lo_neg:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _cubic_roots(coeffs, F: Fraction, band: float
+                 ) -> tuple[Regime, list[tuple[float, Stability]]]:
+    """The regime from the sign of F, and the cubic's real roots in
+    increasing order, each with the stability of its ray.
+
+    Each root is bracketed by the critical points, the roots of
+    3a t^2 + 2b t + c.  Stability follows from the order: a lone root is
+    repelling, three roots are repelling, attracting, repelling, and at the
+    bifurcation the critical point where |p| is smaller is the neutral
+    double root.
     """
-    a = coeffs[0]
-    if a == 0.0:
-        raise InvalidParameter("leading coefficient must be nonzero")
-    rts = np.roots(list(coeffs))
-    # a multiple real root comes back as a cluster with imaginary parts up
-    # to ~eps^(1/m); accept those as real but remember the spread so the
-    # merge below treats the whole cluster as one root
-    real = [(r.real, abs(r.imag)) for r in rts
-            if abs(r.imag) <= 1e-5 * (1.0 + abs(r))]
-
-    polished = []
-    for t, im in real:
-        for _ in range(2):
-            d = _dpoly(coeffs, t)
-            if abs(d) < 1e-12:
-                break
-            step = _poly(coeffs, t) / d
-            if abs(step) > 1.0:
-                break
-            t -= step
-        polished.append((t, im))
-    polished.sort()
-
-    merged: list[tuple[float, int, float]] = []  # (root, mult, imag spread)
-    for t, im in polished:
-        if merged:
-            prev, m, pim = merged[-1]
-            tol = max(ROOT_MERGE * (1.0 + abs(t)), 3.0 * (im + pim))
-            if abs(t - prev) <= tol:
-                merged[-1] = ((prev * m + t) / (m + 1), m + 1, max(im, pim))
-                continue
-        merged.append((t, 1, im))
-    merged = [(t, m) for t, m, _ in merged]
-
-    scale = max(abs(c) for c in coeffs)
-    for t, m in merged:
-        resid = abs(_poly(coeffs, t))
-        if m == 1 and resid > 1e-10 * scale * (1.0 + abs(t)) ** 3:
-            raise NumericalFailure(f"cubic root residual {resid} at t={t}")
-    return merged
+    a, b, c, _ = coeffs
+    R = 1.0 + max(map(abs, coeffs[1:])) / a  # Cauchy: every root is in (-R, R)
+    D = b * b - 3.0 * a * c
+    if not D > 0.0:
+        # a monotone cubic: K <= 2, and F = 0 only at K = 2 with
+        # cos theta = 1, the triple root of the parabolic map
+        t = _root(coeffs, -R, R)
+        if F == 0:
+            return Regime.ONE_PARABOLIC, [(t, Stability.NEUTRAL)]
+        return Regime.ONE_REPELLING, [(t, Stability.REPELLING)]
+    q = -(b + math.copysign(math.sqrt(D), b))
+    t1, t2 = sorted((q / (3.0 * a), c / q))  # local maximum, local minimum
+    rep, att, neu = Stability.REPELLING, Stability.ATTRACTING, Stability.NEUTRAL
+    if abs(F) <= band:
+        if abs(_poly(coeffs, t1)) <= abs(_poly(coeffs, t2)):
+            return Regime.TWO_WITH_NEUTRAL, [(t1, neu), (_root(coeffs, t2, R), rep)]
+        return Regime.TWO_WITH_NEUTRAL, [(_root(coeffs, -R, t1), rep), (t2, neu)]
+    if F > 0:
+        return Regime.THREE, [(_root(coeffs, -R, t1), rep),
+                              (_root(coeffs, t1, t2), att),
+                              (_root(coeffs, t2, R), rep)]
+    lo, hi = (t2, R) if _poly(coeffs, t2) < 0.0 else (-R, t1)
+    return Regime.ONE_REPELLING, [(_root(coeffs, lo, hi), rep)]
 
 
 def trace_sq_of_angle(K: float, phi: float) -> float:
@@ -129,19 +150,12 @@ def trace_sq_of_angle(K: float, phi: float) -> float:
     return T
 
 
-def _make_ray(p: MapParams, phi: float, mult: int) -> FixedRay:
-    m = circle_map_deriv(p, phi)
-    if mult >= 2 or abs(m - 1.0) < NEUTRAL_BAND:
-        stab = Stability.NEUTRAL
-    elif m < 1.0:
-        stab = Stability.ATTRACTING
-    else:
-        stab = Stability.REPELLING
+def _make_ray(p: MapParams, phi: float, stab: Stability) -> FixedRay:
     T = trace_sq_of_angle(p.K, phi)
     # tr^2 <= 4 (no contraction) does occur, e.g. for K within 1e-9 of 1
     k = contraction_k(T) if T > 4.0 else 1.0
-    return FixedRay(angle=phi, multiplier=m, stability=stab,
-                    trace_sq=T, contraction_k=k)
+    return FixedRay(angle=phi, multiplier=circle_map_deriv(p, phi),
+                    stability=stab, trace_sq=T, contraction_k=k)
 
 
 def fixed_rays(p: MapParams) -> RegimeReport:
@@ -157,26 +171,17 @@ def fixed_rays(p: MapParams) -> RegimeReport:
 # function stays in front of the cache so that tracers still see the calls
 @functools.lru_cache(maxsize=64)
 def _fixed_rays(p: MapParams) -> RegimeReport:
-    roots = solve_cubic(cubic_coeffs(p))
+    F, terms, band = quartic(p)
+    regime, roots = _cubic_roots(cubic_coeffs(p), F, band)
     rays = []
-    for t, mult in roots:
+    for t, stab in roots:
         phi = normalize_angle(p.theta + 2.0 * math.atan(t))
         if not is_fixed_angle(p, phi):
-            raise NumericalFailure(f"root t={t} gives non-fixed angle {phi}")
-        rays.append(_make_ray(p, phi, mult))
+            raise NumericalFailure(
+                f"root t={t!r} gives non-fixed angle phi={phi!r} at K={p.K!r}, "
+                f"theta={p.theta!r}, |F|/terms={float(abs(F) / terms):.3g}")
+        rays.append(_make_ray(p, phi, stab))
     rays.sort(key=lambda r: r.angle)
-
-    stabs = {r.stability for r in rays}
-    total = sum(m for _, m in roots)
-    if len(rays) == 3:
-        regime = Regime.THREE
-    elif len(rays) == 2:
-        regime = Regime.TWO_WITH_NEUTRAL
-    elif total == 3 or Stability.NEUTRAL in stabs:
-        regime = Regime.ONE_PARABOLIC
-    else:
-        regime = Regime.ONE_REPELLING
-
     abs_theta = abs(p.theta)
     kt = k_theta(abs_theta) if abs_theta < math.pi / 2 else None
     return RegimeReport(regime=regime, rays=tuple(rays), k_theta=kt)
@@ -213,12 +218,10 @@ def k_theta(theta: float) -> float:
         else:
             hi = mid
     K = 0.5 * (lo + hi)
-    # theta_of_K(K) = acos(f) with 1 - f ~ theta^2/2 near K = 2, so the
-    # rounding of f alone perturbs theta by ~eps/theta; the residual cannot
-    # beat that for small theta
-    tol = max(1e-12, 8.0 * sys.float_info.epsilon / theta)
-    if abs(theta_of_K(K) - theta) > tol:
-        raise NumericalFailure(f"k_theta bisection residual too large at theta={theta}")
+    resid = abs(theta_of_K(K) - theta)
+    if resid > _theta_resolution(theta):
+        raise NumericalFailure(
+            f"k_theta bisection residual {resid:.3g} too large at theta={theta!r}")
     return K
 
 

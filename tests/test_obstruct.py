@@ -6,7 +6,7 @@ import pytest
 from qrdyn.core import make_params
 from qrdyn.errors import InvalidParameter
 from qrdyn.obstruct import (Reason, Verdict, obstruction_report)
-from qrdyn.rays import k_theta
+from qrdyn.rays import k_theta, quartic
 
 
 def test_ray_count_mismatch():
@@ -71,10 +71,13 @@ def test_fixed_theta_corollary_reachable():
 def test_near_bifurcation_downgrades():
     theta = 0.4
     Kc = k_theta(theta)
-    v = obstruction_report(make_params(Kc * (1 + 1e-12), theta),
-                           make_params(4.0, 0.0))
+    p = make_params(Kc * (1 + 1e-12), theta)
+    v = obstruction_report(p, make_params(4.0, 0.0))
     assert v.verdict is Verdict.INCONCLUSIVE
     assert "bifurcation" in v.diagnostic
+    F, terms, _ = quartic(p)
+    assert f"K={p.K!r}, theta={p.theta!r}" in v.diagnostic
+    assert f"|F|/terms={float(abs(F) / terms):.3g}" in v.diagnostic
 
 
 def test_tol_must_be_finite_and_nonnegative():
