@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import MapParams
 from .errors import InvalidParameter
-from .rays import Regime, fixed_rays, quartic
+from .rays import Regime, fixed_rays, quartic_diagnostic
 
 TRACE_TOL = 1e-8          # relative tolerance for trace comparison
 
@@ -70,13 +70,19 @@ def obstruction_report(p1: MapParams, p2: MapParams,
                                   k_theta_1=kt1, k_theta_2=kt2,
                                   diagnostic=diag)
 
+    # distinct stretches in a common direction are never equivalent,
+    # whatever the ray counts, so at the bifurcation too
+    corollary = None
+    if p1.theta == p2.theta and 0.0 <= p1.theta < math.pi / 2 and p1.K != p2.K:
+        corollary = result(Verdict.OBSTRUCTED, Reason.COROLLARY_FIXED_THETA,
+                           f"same direction theta={p1.theta}, K {p1.K} vs {p2.K}")
+
     for p, rep in ((p1, rep1), (p2, rep2)):
         if rep.regime is Regime.TWO_WITH_NEUTRAL:
-            F, terms, _ = quartic(p)
-            return result(Verdict.INCONCLUSIVE, None,
-                          f"K={p.K!r}, theta={p.theta!r} is at the bifurcation "
-                          f"K_theta, |F|/terms={float(abs(F) / terms):.3g}; "
-                          "ray count numerically ambiguous")
+            return corollary or result(
+                Verdict.INCONCLUSIVE, None,
+                f"{quartic_diagnostic(p)} is at the bifurcation K_theta; "
+                "ray count numerically ambiguous")
 
     if len(rep1.rays) != len(rep2.rays):
         return result(Verdict.OBSTRUCTED, Reason.RAY_COUNT_MISMATCH,
@@ -88,9 +94,4 @@ def obstruction_report(p1: MapParams, p2: MapParams,
             return result(Verdict.OBSTRUCTED, Reason.TRACE_MISMATCH,
                           f"trace^2 {a:.12g} vs {b:.12g}")
 
-    if (p1.theta == p2.theta and 0.0 <= p1.theta < math.pi / 2
-            and p1.K != p2.K):
-        return result(Verdict.OBSTRUCTED, Reason.COROLLARY_FIXED_THETA,
-                      f"same direction theta={p1.theta}, K {p1.K} vs {p2.K}")
-
-    return result(Verdict.INCONCLUSIVE, None, "no obstruction found")
+    return corollary or result(Verdict.INCONCLUSIVE, None, "no obstruction found")

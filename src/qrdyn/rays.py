@@ -6,7 +6,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,29 +56,34 @@ def _poly(coeffs, t):
     return ((a * t + b) * t + c) * t + d
 
 
-def _theta_resolution(theta: float) -> float:
-    """tau(theta): how closely k_theta matches a direction theta >= 0.
-
-    theta_of_K(K) = acos(f) with 1 - f ~ theta^2/2 near K = 2, so the
-    rounding of f alone perturbs theta by ~eps/theta; the residual cannot
-    beat that for small theta.  k_theta(0) = 2 is exact."""
-    return max(1e-12, 8.0 * sys.float_info.epsilon / theta) if theta else 0.0
+# tau: how closely k_theta matches its direction theta.  theta_of_K has no
+# cancellation, so this one absolute bound holds for every theta
+THETA_RESOLUTION = 1e-12
 
 
-def quartic(p: MapParams) -> tuple[Fraction, Fraction, float]:
+def _quartic(p: MapParams) -> tuple[Fraction, Fraction, float]:
     """(F, terms, band): the fixed-ray count from the sign of one quartic.
 
     F = c^2 (K+1)^3 (K-1) - (2K-1)^3, c = cos theta, is the cubic's
-    discriminant up to a positive factor, exact on the floats K and c:
-    F > 0 gives three rays, F < 0 one.  terms is the sum of F's two terms.
-    With |F| <= band = |dF/dtheta| tau(|theta|) a map is as near K_theta as
-    k_theta places it: at the bifurcation."""
-    K, c = Fraction(p.K), Fraction(math.cos(p.theta))
+    discriminant up to a positive factor: F > 0 gives three rays, F < 0
+    one.  F is exact on the float K and on c^2, which is cos^2 or
+    1 - sin^2 from whichever of math.cos and math.sin is smaller, so it
+    keeps theta where math.cos(theta) rounds to 1.  terms is the sum of
+    F's two terms.  With |F| <= band = |dF/dtheta| tau a map is as near
+    K_theta as k_theta places it: at the bifurcation."""
+    cos, sin = math.cos(p.theta), math.sin(p.theta)
+    c2 = Fraction(cos) ** 2 if abs(cos) < abs(sin) else 1 - Fraction(sin) ** 2
+    K = Fraction(p.K)
     x = (K + 1) ** 3 * (K - 1)
-    u, v = c * c * x, (2 * K - 1) ** 3
-    band = (2.0 * abs(math.cos(p.theta) * math.sin(p.theta)) * float(x)
-            * _theta_resolution(abs(p.theta)))
+    u, v = c2 * x, (2 * K - 1) ** 3
+    band = 2.0 * abs(cos * sin) * float(x) * THETA_RESOLUTION
     return u - v, u + v, band
+
+
+def quartic_diagnostic(p: MapParams) -> str:
+    """The inputs of the regime decision, for error messages."""
+    F, terms, _ = _quartic(p)
+    return f"K={p.K!r}, theta={p.theta!r}, |F|/terms={float(abs(F) / terms):.3g}"
 
 
 def _root(coeffs, lo: float, hi: float) -> float:
@@ -116,7 +120,7 @@ def _cubic_roots(coeffs, F: Fraction, band: float
     D = b * b - 3.0 * a * c
     if not D > 0.0:
         # a monotone cubic: K <= 2, and F = 0 only at K = 2 with
-        # cos theta = 1, the triple root of the parabolic map
+        # theta = 0, the triple root of the parabolic map
         t = _root(coeffs, -R, R)
         if F == 0:
             return Regime.ONE_PARABOLIC, [(t, Stability.NEUTRAL)]
@@ -171,29 +175,29 @@ def fixed_rays(p: MapParams) -> RegimeReport:
 # function stays in front of the cache so that tracers still see the calls
 @functools.lru_cache(maxsize=64)
 def _fixed_rays(p: MapParams) -> RegimeReport:
-    F, terms, band = quartic(p)
+    F, _, band = _quartic(p)
     regime, roots = _cubic_roots(cubic_coeffs(p), F, band)
     rays = []
     for t, stab in roots:
         phi = normalize_angle(p.theta + 2.0 * math.atan(t))
         if not is_fixed_angle(p, phi):
             raise NumericalFailure(
-                f"root t={t!r} gives non-fixed angle phi={phi!r} at K={p.K!r}, "
-                f"theta={p.theta!r}, |F|/terms={float(abs(F) / terms):.3g}")
+                f"root t={t!r} gives non-fixed angle phi={phi!r} at "
+                + quartic_diagnostic(p))
         rays.append(_make_ray(p, phi, stab))
     rays.sort(key=lambda r: r.angle)
-    abs_theta = abs(p.theta)
-    kt = k_theta(abs_theta) if abs_theta < math.pi / 2 else None
+    kt = k_theta(abs(p.theta)) if abs(p.theta) < math.pi / 2 else None
     return RegimeReport(regime=regime, rays=tuple(rays), k_theta=kt)
 
 
 def theta_of_K(K: float) -> float:
-    """Direction angle whose bifurcation stretch is K; requires K > 2
-    (K = 2 gives theta = 0)."""
+    """Direction angle whose bifurcation stretch is K >= 2 (0 at K = 2):
+    tan theta = r^(3/2) sqrt(K) with r = (K-2)/(2K-1), which keeps theta
+    to a few ulps as theta -> 0, where acos(cos theta) loses it."""
     if K < 2.0:
         raise InvalidParameter("need K >= 2")
-    f = ((2.0 * K - 1.0) / (K * K - 1.0)) ** 1.5 * (K - 1.0)
-    return math.acos(min(1.0, f))
+    r = (K - 2.0) / (2.0 * K - 1.0)
+    return math.atan(r * math.sqrt(K * r))
 
 
 def k_theta(theta: float) -> float:
@@ -206,9 +210,7 @@ def k_theta(theta: float) -> float:
     if not 0.0 < theta < math.pi / 2:
         raise InvalidParameter("need theta in [0, pi/2)")
     # K_theta ~ 8/cos^2(theta) as theta -> pi/2, so size the bracket to fit
-    lo, hi = 2.0 + 1e-9, max(1e3, 32.0 / math.cos(theta) ** 2)
-    if theta_of_K(lo) > theta:
-        lo = 2.0
+    lo, hi = 2.0, max(1e3, 32.0 / math.cos(theta) ** 2)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -219,7 +221,7 @@ def k_theta(theta: float) -> float:
             hi = mid
     K = 0.5 * (lo + hi)
     resid = abs(theta_of_K(K) - theta)
-    if resid > _theta_resolution(theta):
+    if resid > THETA_RESOLUTION:
         raise NumericalFailure(
             f"k_theta bisection residual {resid:.3g} too large at theta={theta!r}")
     return K

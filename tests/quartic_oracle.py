@@ -1,18 +1,18 @@
 """The fixed-ray regime from F = cos^2 theta (K+1)^3 (K-1) - (2K-1)^3,
 evaluated in 60-digit decimal with cos and sin from their Taylor series.
+F is taken as K (K-2)^3 - sin^2 theta (K+1)^3 (K-1), the same polynomial
+(expand both), which keeps its sign as theta -> 0 where cos^2 theta rounds
+to 1 even in 60 digits.
 
 This is independent of `qrdyn.rays`, which evaluates F exactly on the float
-cos theta.  Both call a map at the bifurcation when
-|F| <= 2 |cos theta sin theta| (K+1)^3 (K-1) max(1e-12, 8 eps/|theta|), the
-change in F when theta moves by the residual `k_theta` allows; a cubic
-with no two critical points (K <= 2) cannot have a double root there.
+cos^2 theta or 1 - sin^2 theta.  Both call a map at the bifurcation when
+|F| <= 2 |cos theta sin theta| (K+1)^3 (K-1) 1e-12, the change in F when
+theta moves by the residual `k_theta` allows; a cubic with no two critical
+points (K <= 2) cannot have a double root there.
 """
 
 import decimal
-import sys
 from decimal import Decimal
-
-EPS = sys.float_info.epsilon
 
 
 def cos_sin(theta: float) -> tuple[Decimal, Decimal]:
@@ -32,9 +32,8 @@ def exact_regime(K: float, theta: float) -> str:
         c, s = cos_sin(theta)
         k = Decimal(K)
         x = (k + 1) ** 3 * (k - 1)
-        F = c * c * x - (2 * k - 1) ** 3
-        tau = max(1e-12, 8.0 * EPS / abs(theta)) if theta else 0.0
-        if K > 2.0 and abs(F) <= 2 * abs(c * s) * x * Decimal(tau):
+        F = k * (k - 2) ** 3 - s * s * x
+        if K > 2.0 and abs(F) <= 2 * abs(c * s) * x * Decimal("1e-12"):
             return "two_with_neutral"
         if F == 0:
             return "one_parabolic"

@@ -6,7 +6,7 @@ import pytest
 from qrdyn.core import make_params
 from qrdyn.errors import InvalidParameter
 from qrdyn.obstruct import (Reason, Verdict, obstruction_report)
-from qrdyn.rays import k_theta, quartic
+from qrdyn.rays import k_theta, quartic_diagnostic
 
 
 def test_ray_count_mismatch():
@@ -75,9 +75,22 @@ def test_near_bifurcation_downgrades():
     v = obstruction_report(p, make_params(4.0, 0.0))
     assert v.verdict is Verdict.INCONCLUSIVE
     assert "bifurcation" in v.diagnostic
-    F, terms, _ = quartic(p)
-    assert f"K={p.K!r}, theta={p.theta!r}" in v.diagnostic
-    assert f"|F|/terms={float(abs(F) / terms):.3g}" in v.diagnostic
+    assert f"K={p.K!r}, theta={p.theta!r}, |F|/terms=" in v.diagnostic
+    assert quartic_diagnostic(p) in v.diagnostic
+
+
+def test_corollary_holds_at_the_bifurcation():
+    # a common direction with distinct stretches is an obstruction whatever
+    # the ray counts, so a map at K_theta does not make the verdict
+    # inconclusive
+    p, q = make_params(k_theta(0.3), 0.3), make_params(5.0, 0.3)
+    for p1, p2 in ((p, q), (q, p)):
+        v = obstruction_report(p1, p2)
+        assert v.verdict is Verdict.OBSTRUCTED
+        assert v.reason is Reason.COROLLARY_FIXED_THETA
+    v = obstruction_report(p, make_params(5.0, -0.3))
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert "bifurcation" in v.diagnostic
 
 
 def test_tol_must_be_finite_and_nonnegative():

@@ -16,7 +16,7 @@ from qrdyn.mobius import contraction_k
 from qrdyn.obstruct import obstruction_report
 from qrdyn.rays import (Regime, Stability, _cubic_roots, _fixed_rays,
                         cubic_coeffs, fixed_rays, interval_J, k_theta,
-                        quartic, theta_of_K, trace_sq_of_angle)
+                        theta_of_K, trace_sq_of_angle)
 from quartic_oracle import exact_regime
 
 RAY_COUNT = {"one_repelling": 1, "one_parabolic": 1,
@@ -144,6 +144,22 @@ def test_k_theta_round_trip():
         assert abs(theta_of_K(K) - theta) < 1e-10
     assert k_theta(0.0) == 2.0
     assert k_theta(math.pi / 6) == pytest.approx(6.41, abs=0.01)
+
+
+def test_k_theta_at_small_theta():
+    # theta_of_K = acos(cos theta) lost theta as cos theta -> 1: k_theta was
+    # 2.0000161576280515 for every theta <= 1e-8, and K_theta(1e-9) is
+    # about 2 + 2.4e-6.  The quartic oracle places k_theta(theta) at the
+    # bifurcation, and K_theta (1 -+ 1e-6) on either side of it once theta
+    # is above 1e-9, where that moves theta_K by more than the band's 1e-12
+    rng = random.Random(15)
+    for _ in range(200):
+        theta = 10 ** rng.uniform(-12.0, -1.0)
+        Kc = k_theta(theta)
+        assert exact_regime(Kc, theta) == "two_with_neutral", theta
+        if theta > 1e-9:
+            assert exact_regime(Kc * (1 - 1e-6), theta) == "one_repelling"
+            assert exact_regime(Kc * (1 + 1e-6), theta) == "three"
 
 
 def test_regimes_across_bifurcation():
@@ -287,12 +303,19 @@ def test_fixed_rays_at_large_K():
 
 def test_fixed_rays_agree_with_the_sign_of_F():
     rng = random.Random(14)
+    # K = 2 with theta != 0: F = -27 sin^2 theta < 0, one ray, though
+    # math.cos(theta) rounds to 1.0 below theta of about 1.5e-8
+    maps = [make_params(2.0, 1e-9), make_params(2.0, -1e-12),
+            make_params(2.0, 0.0)]
+    assert [exact_regime(p.K, p.theta) for p in maps] == \
+        ["one_repelling", "one_repelling", "one_parabolic"]
     for _ in range(2000):
         theta = rng.choice((rng.uniform(-math.pi / 2, math.pi / 2),
                             rng.uniform(-1e-3, 1e-3), 0.0))
-        p = make_params(1.0 + 10 ** rng.uniform(-9.0, 9.0), theta)
+        maps.append(make_params(1.0 + 10 ** rng.uniform(-9.0, 9.0), theta))
+    for p in maps:
         rep = _fixed_rays.__wrapped__(p)
-        assert len(rep.rays) == RAY_COUNT[exact_regime(p.K, p.theta)], p
+        assert rep.regime.value == exact_regime(p.K, p.theta), p
         for r in rep.rays:
             assert is_fixed_angle(p, r.angle), p
             if r.stability is not Stability.NEUTRAL:
@@ -301,14 +324,31 @@ def test_fixed_rays_agree_with_the_sign_of_F():
                 assert r.stability is want, p
 
 
+def test_fixed_rays_near_the_parabolic_map():
+    # a band of 8 eps/theta in theta, sized for the old acos form of
+    # theta_of_K, is about 16 eps (K+1)^3 (K-1) wide in F here: 371 of these
+    # maps were called two_with_neutral and 110 raised NumericalFailure
+    rng = random.Random(5)
+    at_bifurcation = 0
+    for _ in range(3000):
+        theta = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-12.0, -3.0)
+        K = 2.0 + rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-9.0, -2.0)
+        p = make_params(K, theta)
+        rep = _fixed_rays.__wrapped__(p)
+        assert rep.regime.value == exact_regime(p.K, p.theta), p
+        at_bifurcation += rep.regime is Regime.TWO_WITH_NEUTRAL
+        for r in rep.rays:
+            assert is_fixed_angle(p, r.angle), p
+    assert at_bifurcation == 18
+
+
 def test_numerical_failure_names_the_map(monkeypatch):
     p = make_params(4.0, 0.1)
-    F, terms, _ = quartic(p)
     monkeypatch.setattr(qrdyn.rays, "is_fixed_angle", lambda p, phi: False)
     with pytest.raises(NumericalFailure) as e:
         _fixed_rays.__wrapped__(p)
-    assert f"K=4.0, theta=0.1, |F|/terms={float(abs(F) / terms):.3g}" \
-        in str(e.value)
+    # F/terms = (375 cos^2 0.1 - 343) / (375 cos^2 0.1 + 343)
+    assert "K=4.0, theta=0.1, |F|/terms=0.0396" in str(e.value)
 
 
 def test_fixed_rays_is_a_plain_function():
