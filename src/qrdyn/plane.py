@@ -43,10 +43,18 @@ class PointResult:
 _POINT_CLASSES = (PointClass.UNDECIDED, PointClass.ESCAPED, PointClass.ATTRACTED)
 
 
-def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
-    """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
+def _require_max_iter(max_iter: int) -> None:
+    """max_iter is at least 1 and fits the int32 counts."""
     if max_iter < 1:
         raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
+    limit = np.iinfo(np.int32).max
+    if max_iter > limit:
+        raise ResourceLimit(f"max_iter {max_iter} exceeds limit {limit}")
+
+
+def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
+    """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
+    _require_max_iter(max_iter)
     labels, counts = _classify_block(p, np.array([z], dtype=complex), max_iter)
     return PointResult(_POINT_CLASSES[labels[0]], int(counts[0]))
 
@@ -137,6 +145,12 @@ def _classify_block(p: MapParams, z: np.ndarray, max_iter: int):
     return labels.reshape(z.shape), counts.reshape(z.shape)
 
 
+def _row_blocks(nx: int, ny: int):
+    """Row slices, in order, of at most BLOCK_PIXELS pixels but one row at least."""
+    rows = max(1, BLOCK_PIXELS // nx)
+    return (slice(i, i + rows) for i in range(0, ny, rows))
+
+
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
     """Classify every pixel of a grid over the window.
 
@@ -144,8 +158,7 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     in turn in the calling thread.  The result depends only on the
     arguments, not on the core count or the environment.
     """
-    if max_iter < 1:
-        raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
+    _require_max_iter(max_iter)
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     nx, ny = resolution
@@ -160,10 +173,9 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
 
     labels = np.empty((ny, nx), dtype=np.uint8)
     counts = np.empty((ny, nx), dtype=np.int32)
-    rows = max(1, BLOCK_PIXELS // nx)
-    for i in range(0, ny, rows):
-        z = xs[None, :] + 1j * ys[i:i + rows, None]
-        labels[i:i + rows], counts[i:i + rows] = _classify_block(p, z, max_iter)
+    for rows in _row_blocks(nx, ny):
+        z = xs[None, :] + 1j * ys[rows, None]
+        labels[rows], counts[rows] = _classify_block(p, z, max_iter)
     return PlaneGrid(window=window, resolution=(nx, ny), labels=labels,
                      counts=counts, max_iter=max_iter)
 
@@ -192,24 +204,22 @@ def _palette(max_iter: int, c: int) -> np.ndarray:
     return pal.reshape(-1, 3)
 
 
-def grid_to_rgb(grid: PlaneGrid) -> np.ndarray:
-    """Each pixel's colour looked up by its (label, count) in the palette.
-
-    The palette is sized by the largest count in the grid, not by
-    max_iter, which may be far larger than any count reached.
-    """
-    c = int(grid.counts.max())
-    rows = grid.labels.astype(np.intp) * (c + 1) + grid.counts
-    return np.take(_palette(grid.max_iter, c), rows, axis=0)
-
-
 def write_ppm(grid: PlaneGrid, path: str) -> None:
-    """Binary P6 image of the grid."""
-    rgb = grid_to_rgb(grid)
+    """Binary P6 image of the grid, coloured and written one block of rows
+    at a time, so the image is never held whole.
+
+    Each pixel's colour is looked up by its (label, count) in the palette,
+    sized by the largest count in the grid, not by max_iter, which may be
+    far larger than any count reached.
+    """
     ny, nx = grid.labels.shape
+    c = int(grid.counts.max())
+    pal = _palette(grid.max_iter, c)
     with open(path, "wb") as f:
         f.write(f"P6\n{nx} {ny}\n255\n".encode("ascii"))
-        f.write(rgb.tobytes())
+        for rows in _row_blocks(nx, ny):
+            idx = grid.labels[rows].astype(np.intp) * (c + 1) + grid.counts[rows]
+            f.write(np.take(pal, idx, axis=0))
 
 
 def write_stats(grid: PlaneGrid, p: MapParams, path: str) -> None:

@@ -237,13 +237,31 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
       "100000000000000000000"], "chain length 100000000000000000000 exceeds limit"),
     (["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "1000000000"],
      "orbit length 1000000000 exceeds limit"),
-], ids=["julia-count", "growth-n-hi", "growth-z-n-hi-overflow", "orbit-n"])
-def test_size_limits_exit_3(capsys, argv, named):
+    (["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4",
+      "--max-iter", "3000000000"], "max_iter 3000000000 exceeds limit 2147483647"),
+], ids=["julia-count", "growth-n-hi", "growth-z-n-hi-overflow", "orbit-n",
+        "render-max-iter"])
+def test_size_limits_exit_3(tmp_path, capsys, argv, named):
     # refused before anything is allocated: a list of 10**9 floats would not
-    # fit, and one of 10**20 overflows its length
+    # fit, one of 10**20 overflows its length, and the int32 render counts
+    # cannot hold a max_iter above 2**31 - 1
+    if argv[0] == "render":
+        argv = argv + ["--out", str(tmp_path / "x.ppm")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+def test_render_max_iter_at_the_int32_limit(tmp_path):
+    # every pixel of this window escapes at once, so the largest max_iter
+    # the counts hold renders as fast as a small one
+    out = tmp_path / "far.ppm"
+    assert main(["render", "--K", "2", "--theta", "0", "--window=5,6,5,6",
+                 "--res", "4", "--max-iter", "2147483647", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "far.ppm.json").read_text())["max_iter"] \
+        == 2147483647
 
 
 def test_render_palette_sized_by_counts_not_max_iter(tmp_path):

@@ -32,7 +32,9 @@ arithmetic that changed:
   point instead of a mean of nearby roots, within 1e-6;
 - contraction_k is 2/(T - 2 + sqrt(T) sqrt(T - 4)), not
   (T - 2 - sqrt(T^2 - 4T))/2: the two differ by no more than the rounding
-  error of the latter, which grows as eps T^2/(4 sqrt(T (T - 4))).
+  error of the latter, which grows as eps T^2/(4 sqrt(T (T - 4)));
+- write_ppm colours and writes one block of rows at a time instead of the
+  whole image at once: the same bytes.
 """
 
 import cmath
@@ -54,8 +56,9 @@ from qrdyn.errors import InvalidParameter, NumericalFailure
 from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
-from qrdyn.plane import (PointClass, PointResult, R_ESCAPE, classify_point,
-                         r_attract)
+from qrdyn.plane import (BLOCK_PIXELS, PlaneGrid, PointClass, PointResult,
+                         R_ESCAPE, Window, _palette, classify_point, r_attract,
+                         write_ppm)
 from qrdyn.rays import (FixedRay, Regime, RegimeReport, Stability,
                         _fixed_rays, cubic_coeffs, fixed_rays, k_theta,
                         theta_of_K, trace_sq_of_angle)
@@ -179,6 +182,12 @@ def ref_classify_point(p, z, max_iter):
             return PointResult(PointClass.ATTRACTED, n)
         w = eval_H(p, w)
     return PointResult(PointClass.UNDECIDED, max_iter)
+
+
+def ref_grid_to_rgb(grid):
+    c = int(grid.counts.max())
+    rows = grid.labels.astype(np.intp) * (c + 1) + grid.counts
+    return np.take(_palette(grid.max_iter, c), rows, axis=0)
 
 
 def ref_classify_limit(p, phi, max_iter=10_000, tol=1e-9, confirm=5):
@@ -368,6 +377,33 @@ def survey_target(p):
     rays = fixed_rays(p).rays
     keep = [r for r in rays if r.stability is not Stability.REPELLING] or list(rays)
     return keep[0].angle
+
+
+def block_edge_grids():
+    """Synthetic grids at the edges of write_ppm's blocks, by name."""
+    rng = np.random.default_rng(48)
+
+    def grid(shape, top, max_iter=200):
+        return PlaneGrid(window=Window(0j, 1.0, 1.0),
+                         resolution=(shape[1], shape[0]),
+                         labels=rng.integers(0, 3, shape, dtype=np.uint8),
+                         counts=rng.integers(0, top + 1, shape, dtype=np.int32),
+                         max_iter=max_iter)
+
+    wide = grid((3, BLOCK_PIXELS + 808), 150)
+    ragged = grid((83, 100), 150)
+    last = grid((83, 100), 20)
+    last.labels[-1, -1], last.counts[-1, -1] = 1, 180
+    return {
+        "one-row-blocks": wide,           # nx > BLOCK_PIXELS: one row a block
+        "ragged-last-block": ragged,      # 81 + 2 rows
+        "largest-count-last": last,       # the palette is sized by the last block
+        "all-zero-counts": grid((200, 64), 0),
+        "one-pixel": grid((1, 1), 5, max_iter=7),
+    }
+
+
+BLOCK_EDGE_GRIDS = block_edge_grids()
 
 
 # ------------------------------------------------------------------ tests
@@ -578,3 +614,13 @@ def test_fixed_rays_bit_identical_to_flat_bound_reference():
                     <= ref_contraction_error(a.trace_sq)
         returned += 1
     assert returned >= 1000
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_GRIDS))
+def test_write_ppm_bytes_equal_whole_image_reference(tmp_path, name):
+    g = BLOCK_EDGE_GRIDS[name]
+    ny, nx = g.labels.shape
+    out = tmp_path / "out.ppm"
+    write_ppm(g, str(out))
+    assert out.read_bytes() == (f"P6\n{nx} {ny}\n255\n".encode("ascii")
+                                + ref_grid_to_rgb(g).tobytes())

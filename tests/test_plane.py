@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 from qrdyn.core import arg_h, eval_H, make_params, radial_stretch
 from qrdyn.errors import InvalidParameter, ResourceLimit
 from qrdyn.plane import (PlaneGrid, PointClass, R_ESCAPE, Window,
-                         _classify_block, classify_point, grid_to_rgb,
-                         r_attract, radial_fixed_point, render_grid, write_ppm,
+                         _classify_block, classify_point, r_attract,
+                         radial_fixed_point, render_grid, write_ppm,
                          write_stats)
 from qrdyn.rays import fixed_rays
 
@@ -38,6 +39,10 @@ def test_classify_point_examples():
     assert classify_point(p, 0.25 + 0j, 5000).label is PointClass.UNDECIDED
     with pytest.raises(InvalidParameter):
         classify_point(p, 1.0 + 0j, 0)
+    # the counts are int32
+    with pytest.raises(ResourceLimit,
+                       match="max_iter 2147483648 exceeds limit 2147483647"):
+        classify_point(p, 1.0 + 0j, 2 ** 31)
 
 
 def test_classify_point_label_stable_under_more_iterations():
@@ -153,6 +158,9 @@ def test_render_resolution_limit():
     p = make_params(2.0, 0.0)
     with pytest.raises(ResourceLimit):
         render_grid(p, Window(0j, 1.0, 1.0), 9000, 10)
+    with pytest.raises(ResourceLimit,
+                       match="max_iter 2147483648 exceeds limit 2147483647"):
+        render_grid(p, Window(0j, 1.0, 1.0), 4, 2 ** 31)
 
 
 def test_ppm_and_stats_output(tmp_path):
@@ -204,11 +212,15 @@ GOLDEN = [
     (ZOOM,
      "ebdc8f4afd8cfdeb79f213dcfbe314d5e153092c861a971eacf81a9083d03d37",
      "9768da7d82dbdc2c2d6e20348580e4cbc394773819205902945c8450994cff85"),
+    # rows of the widest side, so each block is one row
+    ((4.0, 0.3, (-1.5, 1.5, -0.01, 0.01), (8192, 3), 10),
+     "ccabc2b40e367b7e1d7dca8c1f52d401f49b42c1280daa785363aef3de0e8f78",
+     "ee9d9dbdfca002d82235b10258eb8b1f7a9498c54c336e359e71bb601573c1d9"),
 ]
 
 
 @pytest.mark.parametrize("case,ppm_sha,stats_sha", GOLDEN,
-                         ids=["unit-disk", "off-centre", "deep-zoom"])
+                         ids=["unit-disk", "off-centre", "deep-zoom", "wide"])
 def test_render_golden_digests(tmp_path, case, ppm_sha, stats_sha):
     K, theta, bounds, res, max_iter = case
     p = make_params(K, theta)
@@ -251,8 +263,8 @@ def test_classify_block_keeps_shape():
 
 
 def masked_hsv_rgb(grid):
-    """grid_to_rgb as it was before the palette: each colour computed per
-    pixel under a label mask.  The reference for the palette lookup."""
+    """The image's colours as they were before the palette: each computed
+    per pixel under a label mask.  The reference for the palette lookup."""
     ny, nx = grid.labels.shape
     rgb = np.zeros((ny, nx, 3), dtype=np.uint8)
 
@@ -285,21 +297,48 @@ def _synthetic_grid(labels, counts, max_iter):
                      counts=counts.astype(np.int32), max_iter=max_iter)
 
 
+def ppm_pixels(grid, path):
+    """The pixels write_ppm writes for the grid, as an (ny, nx, 3) array."""
+    write_ppm(grid, str(path))
+    ny, nx = grid.labels.shape
+    header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
+    data = path.read_bytes()
+    assert data.startswith(header)
+    return np.frombuffer(data[len(header):], dtype=np.uint8).reshape(ny, nx, 3)
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 7, 50, 100, 200, 999])
-def test_palette_matches_masked_hsv_colouring(max_iter):
+def test_palette_matches_masked_hsv_colouring(tmp_path, max_iter):
+    out = tmp_path / "out.ppm"
     # every (label, count) pair, in order and shuffled
     labels, counts = np.meshgrid(np.arange(3), np.arange(max_iter + 1),
                                  indexing="ij")
     g = _synthetic_grid(labels, counts, max_iter)
-    assert np.array_equal(grid_to_rgb(g), masked_hsv_rgb(g))
+    assert np.array_equal(ppm_pixels(g, out), masked_hsv_rgb(g))
     rng = np.random.default_rng(max_iter)
     perm = rng.permutation(labels.size)
     g = _synthetic_grid(labels.ravel()[perm].reshape(-1, 3),
                         counts.ravel()[perm].reshape(-1, 3), max_iter)
-    assert np.array_equal(grid_to_rgb(g), masked_hsv_rgb(g))
+    assert np.array_equal(ppm_pixels(g, out), masked_hsv_rgb(g))
     # counts that stop short of max_iter size a smaller palette
     cap = int(rng.integers(0, max_iter + 1))
     shape = (5, 9)
     g = _synthetic_grid(rng.integers(0, 3, shape),
                         rng.integers(0, cap + 1, shape), max_iter)
-    assert np.array_equal(grid_to_rgb(g), masked_hsv_rgb(g))
+    assert np.array_equal(ppm_pixels(g, out), masked_hsv_rgb(g))
+
+
+def test_write_ppm_holds_one_block(tmp_path):
+    # the image is coloured and written one block of rows at a time; held
+    # whole, a 1024^2 image took 11 MiB: an intp row index per pixel and
+    # its RGB.  numpy reports its buffers to tracemalloc.
+    rng = np.random.default_rng(47)
+    shape = (1024, 1024)
+    g = _synthetic_grid(rng.integers(0, 3, shape), rng.integers(0, 201, shape), 200)
+    tracemalloc.start()
+    try:
+        write_ppm(g, str(tmp_path / "out.ppm"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
