@@ -11,9 +11,9 @@ obstructions to quasiconformal equivalence near infinity.
 from .core import (MapParams, make_params, params_of_mu, eval_h, eval_H,
                    eval_H_polar, radial_stretch, arg_h, normalize_angle,
                    circle_dist)
-from .circle import (circle_map, circle_map_lift, circle_map_deriv,
-                     circle_preimages, orbit, classify_limit, backward_tree,
-                     BackwardTree, LimitOutcome, LimitReport)
+from .circle import (circle_map, circle_map_deriv, circle_preimages, orbit,
+                     classify_limit, backward_tree, BackwardTree, LimitOutcome,
+                     LimitReport)
 from .rays import (FixedRay, RegimeReport, Regime, Stability, fixed_rays,
                    cubic_coeffs, trace_sq_of_angle, theta_of_K, k_theta,
                    interval_J)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +48,6 @@ def require_fixed_angle(p: MapParams, phi: float) -> None:
             f"theta={p.theta!r}")
 
 
-def circle_map_lift(p: MapParams, phi: float) -> float:
-    """Monotone degree-2 lift: continuous on (theta - pi/2, theta + 3 pi/2)
-    and satisfying lift(phi + 2 pi) = lift(phi) + 4 pi."""
-    x = phi - p.theta
-    # unwrap the atan branch: shift x into [-pi/2, pi/2] by a multiple of pi
-    k = round(x / math.pi)
-    xr = x - k * math.pi
-    return 2.0 * p.theta + 2.0 * (math.atan(math.tan(xr) / p.K) + k * math.pi)
-
-
 def circle_map_deriv(p: MapParams, phi: float) -> float:
     c = math.cos(phi - p.theta)
     return 2.0 * p.K / (1.0 + (p.K * p.K - 1.0) * c * c)
@@ -82,10 +73,15 @@ def _unit_step(mu: complex, z: np.ndarray, w: np.ndarray) -> None:
     np.divide(w, z, out=z)
 
 
+def _require_finite(fn: str, name: str, x: float) -> None:
+    """Raise InvalidParameter naming x unless it is finite."""
+    if not math.isfinite(x):
+        raise InvalidParameter(f"{fn} needs a finite {name}, got {name}={x!r}")
+
+
 def orbit(p: MapParams, phi: float, n: int) -> list[float]:
     """Forward orbit [phi, H~(phi), ..., H~^n(phi)]."""
-    if not math.isfinite(phi):
-        raise InvalidParameter(f"orbit needs a finite phi, got phi={phi!r}")
+    _require_finite("orbit", "phi", phi)
     if n < 0:
         raise InvalidParameter(f"orbit needs n >= 0, got n={n}")
     if n > MAX_ORBIT_LEN:
@@ -104,6 +100,10 @@ class LimitOutcome(enum.Enum):
 
 @dataclass(frozen=True)
 class LimitReport:
+    """What classify_limit found.  iterations is the first iterate of the
+    confirming streak, or max_iter if undecided; final_angle is the iterate
+    at which the report was made, the last of the streak, or
+    H~^(max_iter+1)(phi) if undecided, one step past the last tested iterate."""
     outcome: LimitOutcome
     target: float | None
     iterations: int
@@ -116,9 +116,20 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     Convergence to an angle is only reported after LIMIT_CONFIRM consecutive
     iterates within LIMIT_TOL circle distance of it; neutral attraction is
     slow, so a single close pass is not trusted.
+
+    An iterate gets only the map step while the float e = cur - a has
+    2 LIMIT_TOL < |e| < TAU - 2 LIMIT_TOL for every fixed angle a: the
+    arrival test's wrapped (cur - a) % TAU is then at least 2 LIMIT_TOL
+    less two ulps of TAU from 0, so that test would find no hit.
     """
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
+    _require_finite("classify_limit", "phi", phi)
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise InvalidParameter(f"classify_limit needs an integer max_iter, "
+                               f"got max_iter={max_iter!r}") from None
     if max_iter < 0:
         raise InvalidParameter(f"need max_iter >= 0, got max_iter={max_iter}")
     targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
@@ -127,31 +138,40 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     # so the report is bit-identical to calling them
     K, theta, pi, tol = p.K, p.theta, math.pi, LIMIT_TOL
     atan2, sin, cos = math.atan2, math.sin, math.cos
+    # a cubic has at most three fixed angles; the gate reads only as many
+    # as the map has, so the padding is never tested
+    a0, a1, a2 = ([ang for ang, _ in targets] * 3)[:3]
+    two, three = len(targets) > 1, len(targets) > 2
+    lo, hi = 2.0 * tol, TAU - 2.0 * tol
     cur = normalize_angle(phi)
     streak_idx = -1
     streak_len = 0
     streak_start = 0
     for it in range(max_iter + 1):
-        hit = -1
-        for i, (ang, _) in enumerate(targets):
-            d = (cur - ang) % TAU
-            if d > pi:
-                d -= TAU
-            if abs(d) < tol:
-                hit = i
-                break
-        if hit >= 0 and hit == streak_idx:
-            streak_len += 1
+        if lo < abs(cur - a0) < hi and (not two or lo < abs(cur - a1) < hi) \
+                and (not three or lo < abs(cur - a2) < hi):
+            streak_idx = -1  # a miss: the next hit starts a new streak
         else:
-            streak_idx = hit
-            streak_len = 1 if hit >= 0 else 0
-            streak_start = it
-        if streak_len >= LIMIT_CONFIRM:
-            ang, stab = targets[streak_idx]
-            if stab is Stability.REPELLING:
-                return LimitReport(LimitOutcome.LANDED_ON_REPELLER, ang,
-                                   streak_start, cur)
-            return LimitReport(LimitOutcome.CONVERGED, ang, streak_start, cur)
+            hit = -1
+            for i, (ang, _) in enumerate(targets):
+                d = (cur - ang) % TAU
+                if d > pi:
+                    d -= TAU
+                if abs(d) < tol:
+                    hit = i
+                    break
+            if hit >= 0 and hit == streak_idx:
+                streak_len += 1
+            else:
+                streak_idx = hit
+                streak_len = 1 if hit >= 0 else 0
+                streak_start = it
+            if streak_len >= LIMIT_CONFIRM:
+                ang, stab = targets[streak_idx]
+                if stab is Stability.REPELLING:
+                    return LimitReport(LimitOutcome.LANDED_ON_REPELLER, ang,
+                                       streak_start, cur)
+                return LimitReport(LimitOutcome.CONVERGED, ang, streak_start, cur)
         x = cur - theta
         cur = (2.0 * (theta + atan2(sin(x), K * cos(x)))) % TAU
         if cur > pi:
@@ -162,6 +182,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
 def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
                        n_iter: int, tol: float) -> float:
     """Fraction of an angle array within tol of target after n_iter steps."""
+    _require_finite("converged_fraction", "target", target)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     w = np.empty_like(z)
     for _ in range(n_iter):
@@ -205,6 +226,7 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
 
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
     """All depth-level preimages of phi under the circle map."""
+    _require_finite("backward_tree", "phi", phi)
     if depth < 0:
         raise InvalidParameter(f"need depth >= 0, got depth={depth}")
     if depth > MAX_TREE_DEPTH:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, arg_h, circle_dist, normalize_angle
-from .circle import circle_map, orbit as circle_orbit, require_fixed_angle
+from .core import TAU, MapParams, arg_h, circle_dist, normalize_angle
+from .circle import require_fixed_angle
 from .errors import InvalidParameter, ResourceLimit
 
 FIT_BURN_IN = 5  # iterates dropped before fitting (the O(1) transient)
@@ -74,20 +74,6 @@ def fixed_ray_mobius(p: MapParams, phi: float) -> DiskMobius:
     return DiskMobius.from_coeffs(half, p.mu / half)
 
 
-def _chain_angles(p: MapParams, z: complex, n: int) -> list[float]:
-    if z == 0:
-        raise InvalidParameter("the chain is undefined at z = 0")
-    if not cmath.isfinite(z):
-        raise InvalidParameter(f"the chain needs a finite start z, got z={z!r}")
-    phi0 = normalize_angle(cmath.phase(z))
-    # a numerically fixed starting angle stays put: forward iteration off a
-    # repelling fixed angle would amplify the rounding of the input instead
-    # of following the intended constant orbit
-    if circle_dist(circle_map(p, phi0), phi0) < 1e-13:
-        return [phi0] * n
-    return circle_orbit(p, phi0, n - 1)
-
-
 def _chain_phases(p: MapParams, target, n: int) -> list[complex]:
     """The unit numbers s_1 .. s_{n-1} of the chain factors that carry mu to
     the dilatation of H^n: every s is e^{-i phi/2} on a fixed angle phi (a
@@ -96,12 +82,35 @@ def _chain_phases(p: MapParams, target, n: int) -> list[complex]:
     sign of s and the normalization of a factor cancel in its ratio."""
     if n > MAX_CHAIN_LEN:
         raise ResourceLimit(f"chain length {n} exceeds limit {MAX_CHAIN_LEN}")
-    if isinstance(target, complex):
-        angles = _chain_angles(p, target, n)  # phi_0 .. phi_{n-1}
-        return [cmath.exp(-1j * arg_h(p, a)) for a in angles[:n - 1]]
-    phi = float(target)
-    require_fixed_angle(p, phi)
-    return [cmath.exp(-0.5j * phi)] * (n - 1)
+    if not isinstance(target, complex):
+        phi = float(target)
+        require_fixed_angle(p, phi)
+        return [cmath.exp(-0.5j * phi)] * (n - 1)
+    if target == 0:
+        raise InvalidParameter("the chain is undefined at z = 0")
+    if not cmath.isfinite(target):
+        raise InvalidParameter(
+            f"the chain needs a finite start z, got z={target!r}")
+    phi = normalize_angle(cmath.phase(target))
+    # one arg h per step gives both s_i and phi_i = H~(phi_{i-1}) = 2 arg h
+    g = arg_h(p, phi)
+    # a numerically fixed starting angle stays put: forward iteration off a
+    # repelling fixed angle would amplify the rounding of the input instead
+    # of following the intended constant orbit
+    if circle_dist(normalize_angle(2.0 * g), phi) < 1e-13:
+        return [cmath.exp(-1j * g)] * (n - 1)
+    # arg_h and normalize_angle written out with the same float operations
+    K, theta, pi, exp = p.K, p.theta, math.pi, cmath.exp
+    atan2, sin, cos = math.atan2, math.sin, math.cos
+    phases = []
+    for _ in range(n - 1):
+        phases.append(exp(-1j * g))
+        x = (2.0 * g) % TAU
+        if x > pi:
+            x -= TAU
+        x -= theta
+        g = theta + atan2(sin(x), K * cos(x))
+    return phases
 
 
 def _fold(mu: complex, phases: list[complex]) -> complex:

@@ -5,11 +5,22 @@ import numpy as np
 import pytest
 
 from qrdyn.circle import (MAX_ORBIT_LEN, _unit_step, backward_tree, circle_map,
-                          circle_map_deriv, circle_map_lift, circle_preimages,
-                          classify_limit, orbit, require_fixed_angle,
+                          circle_map_deriv, circle_preimages, classify_limit,
+                          converged_fraction, orbit, require_fixed_angle,
                           LimitOutcome)
 from qrdyn.core import circle_dist, make_params, normalize_angle
 from qrdyn.errors import InvalidParameter, ResourceLimit
+
+
+def circle_map_lift(p, phi):
+    """Monotone degree-2 lift of the circle map: continuous on
+    (theta - pi/2, theta + 3 pi/2) and satisfying
+    lift(phi + 2 pi) = lift(phi) + 4 pi."""
+    x = phi - p.theta
+    # unwrap the atan branch: shift x into [-pi/2, pi/2] by a multiple of pi
+    k = round(x / math.pi)
+    xr = x - k * math.pi
+    return 2.0 * p.theta + 2.0 * (math.atan(math.tan(xr) / p.K) + k * math.pi)
 
 
 def random_params(rng):
@@ -113,6 +124,31 @@ def test_classify_limit_rejects_negative_max_iter():
     assert classify_limit(make_params(2.0, 0.3), 0.5, max_iter=0).iterations == 0
 
 
+@pytest.mark.parametrize("phi,max_iter,named", [
+    (math.nan, 10, "phi=nan"), (math.inf, 10, "phi=inf"),
+    (-math.inf, 10, "phi=-inf"), (0.5, 2.0, "max_iter=2.0"),
+    (0.5, 1.5, "max_iter=1.5"), (0.5, "3", "max_iter='3'")])
+def test_classify_limit_rejects_out_of_domain(phi, max_iter, named):
+    with pytest.raises(InvalidParameter, match=named):
+        classify_limit(make_params(2.0, 0.3), phi, max_iter)
+
+
+@pytest.mark.parametrize("phi,named", [
+    (math.nan, "phi=nan"), (math.inf, "phi=inf"), (-math.inf, "phi=-inf")])
+def test_backward_tree_rejects_non_finite_phi(phi, named):
+    with pytest.raises(InvalidParameter, match=named):
+        backward_tree(make_params(2.0, 0.3), phi, 3)
+
+
+@pytest.mark.parametrize("target,named", [
+    (math.nan, "target=nan"), (math.inf, "target=inf"),
+    (-math.inf, "target=-inf")])
+def test_converged_fraction_rejects_non_finite_target(target, named):
+    phis = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+    with pytest.raises(InvalidParameter, match=named):
+        converged_fraction(make_params(4.0, 0.0), phis, target, 10, 1e-6)
+
+
 def test_classify_limit_attracting():
     p = make_params(4.0, 0.0)
     rep = classify_limit(p, 0.5)
@@ -131,6 +167,22 @@ def test_classify_limit_undecided_one_ray():
     p = make_params(1.5, 0.0)
     rep = classify_limit(p, 0.5, max_iter=2000)
     assert rep.outcome is LimitOutcome.UNDECIDED
+    assert rep.target is None and rep.iterations == 2000
+    # the report is made one step past the last tested iterate
+    for n in (0, 1, 7, 2000):
+        rep = classify_limit(p, 0.5, max_iter=n)
+        assert rep.final_angle == orbit(p, 0.5, n + 1)[-1]
+
+
+def test_classify_limit_reports_the_streak():
+    # iterations is the first iterate of the confirming streak, final_angle
+    # the last one, which is where the report is made
+    p = make_params(4.0, 0.0)
+    rep = classify_limit(p, 0.5)
+    seq = orbit(p, 0.5, rep.iterations + 4)
+    assert rep.final_angle == seq[-1]
+    assert all(circle_dist(a, rep.target) < 1e-9 for a in seq[rep.iterations:])
+    assert circle_dist(seq[rep.iterations - 1], rep.target) >= 1e-9
 
 
 def test_backward_tree_counts_and_density():

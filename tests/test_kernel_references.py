@@ -12,7 +12,11 @@ arithmetic that changed:
   on some inputs: the same tree size, angles and max_gap within 1e-12;
 - dilatation_chain drops the normalization and the square root of each
   factor: within 1e-12 for n <= 100 of the DiskMobius chain, and bit for
-  bit equal to the matrix-free loop that first dropped them;
+  bit equal to the matrix-free loop that first dropped them, which walks
+  the orbit through circle.orbit and takes arg h of every angle again;
+- classify_limit gives an iterate far from every fixed angle only the map
+  step, skipping an arrival test that could not hit: bit for bit the same
+  report as testing every iterate;
 - dilatation_on_ray folds the same unnormalized factors instead of
   iterating a normalized DiskMobius: within 1e-12 for n <= 100;
 - dilatation_distance_series walks the inverse factors (conj s, -b) and
@@ -46,14 +50,15 @@ import numpy as np
 import pytest
 
 from qrdyn.blaschke import julia_sample
-from qrdyn.circle import (DEDUP_TOL, LimitOutcome, LimitReport,
+from qrdyn import circle
+from qrdyn.circle import (DEDUP_TOL, LIMIT_TOL, LimitOutcome, LimitReport,
                           _dedup_sorted, backward_tree, circle_map,
                           circle_map_deriv, circle_preimages, classify_limit,
-                          converged_fraction)
+                          converged_fraction, orbit)
 from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
                         normalize_angle)
 from qrdyn.errors import InvalidParameter, NumericalFailure
-from qrdyn.mobius import (DiskMobius, _chain_angles, dilatation_chain,
+from qrdyn.mobius import (DiskMobius, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
 from qrdyn.plane import (BLOCK_PIXELS, PlaneGrid, PointClass, PointResult,
@@ -108,8 +113,22 @@ def ref_backward_tree(p, phi, depth):
     return level, max(gaps)
 
 
+def ref_chain_angles(p, z, n):
+    if z == 0:
+        raise InvalidParameter("the chain is undefined at z = 0")
+    if not cmath.isfinite(z):
+        raise InvalidParameter(f"the chain needs a finite start z, got z={z!r}")
+    phi0 = normalize_angle(cmath.phase(z))
+    # a numerically fixed starting angle stays put: forward iteration off a
+    # repelling fixed angle would amplify the rounding of the input instead
+    # of following the intended constant orbit
+    if circle_dist(circle_map(p, phi0), phi0) < 1e-13:
+        return [phi0] * n
+    return orbit(p, phi0, n - 1)
+
+
 def ref_dilatation_chain(p, z, n):
-    angles = _chain_angles(p, z, n)
+    angles = ref_chain_angles(p, z, n)
     w = p.mu
     for i in range(n - 2, -1, -1):
         r = cmath.exp(-2j * arg_h(p, angles[i]))
@@ -119,7 +138,7 @@ def ref_dilatation_chain(p, z, n):
 
 
 def ref_dilatation_chain_matrix_free(p, z, n):
-    angles = _chain_angles(p, z, n)  # phi_0 .. phi_{n-1}
+    angles = ref_chain_angles(p, z, n)  # phi_0 .. phi_{n-1}
     mu = p.mu
     w = mu
     for i in range(n - 2, -1, -1):  # apply A_{n-1} first, A_1 last
@@ -163,7 +182,7 @@ def ref_chain_distances(maps, w0, n_max):
 
 def ref_dilatation_distance_series(p, target, n_max):
     if isinstance(target, complex):
-        angles = _chain_angles(p, target, n_max)
+        angles = ref_chain_angles(p, target, n_max)
         maps = [ref_ray_phase_mobius(p, a) for a in angles[:n_max - 1]]
     else:
         A = fixed_ray_mobius(p, float(target))
@@ -548,14 +567,40 @@ def test_classify_point_equals_scalar_loop():
 
 def test_classify_limit_bit_identical_to_reference():
     rng = random.Random(75)
-    for p in regime_params(75):
+    params = regime_params(75)
+    assert {fixed_rays(p).regime for p in params} == set(Regime)
+    for p in params:
         for _ in range(3):
             phi = rng.uniform(-math.pi, math.pi)
             assert classify_limit(p, phi, max_iter=1500) \
                 == ref_classify_limit(p, phi, max_iter=1500)
-        # a start on a fixed angle
-        ang = fixed_rays(p).rays[0].angle
-        assert classify_limit(p, ang, max_iter=50) == ref_classify_limit(p, ang, max_iter=50)
+        # starts on and around each fixed angle, inside, on and past the
+        # gate's 2 LIMIT_TOL edge, also one turn up; max_iter around
+        # LIMIT_CONFIRM
+        for ray in fixed_rays(p).rays:
+            for k in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+                for phi in {ray.angle + k * LIMIT_TOL, ray.angle - k * LIMIT_TOL}:
+                    for start in (phi, phi + 2.0 * math.pi):
+                        for max_iter in (0, 1, 4, 5, 6, 50):
+                            assert classify_limit(p, start, max_iter) \
+                                == ref_classify_limit(p, start, max_iter)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 0.05, 0.3])
+def test_classify_limit_gate_bit_identical_at_wide_tolerances(monkeypatch, tol):
+    # at a wide LIMIT_TOL orbits pass in and out of the gate again and
+    # again, so streaks start, break at a gated iterate and start afresh;
+    # the last map has a fixed angle 0.0058 below pi, so arrivals from
+    # just above -pi have |cur - a| near TAU
+    monkeypatch.setattr(circle, "LIMIT_TOL", tol)
+    rng = random.Random(76)
+    near_pi = make_params(691300.08, 1.5656310254926167)
+    assert abs(fixed_rays(near_pi).rays[-1].angle - 3.1358) < 1e-4
+    for p in regime_params(76, n=3) + [near_pi]:
+        for _ in range(20):
+            phi = rng.uniform(-math.pi, math.pi)
+            assert classify_limit(p, phi, max_iter=300) \
+                == ref_classify_limit(p, phi, max_iter=300, tol=tol)
 
 
 def test_julia_sample_bit_identical_to_reference():
