@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import TAU, MapParams
+from .core import TAU, MapParams, require_integer
 from .rays import Regime, Stability, fixed_rays
 from .errors import InvalidParameter, NoBasin, ResourceLimit
 
@@ -65,6 +65,7 @@ def julia_sample(p: MapParams, count: int, seed: int) -> list[float]:
     Random-branch backward orbit of a repelling fixed angle; the first
     SAMPLE_BURN_IN iterates are discarded.  Deterministic for a given seed.
     """
+    count = require_integer("julia_sample", "count", count)
     if count < 1:
         raise InvalidParameter(f"need count >= 1, got count={count}")
     if count > MAX_SAMPLE_COUNT:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, MapParams, arg_h, circle_dist, normalize_angle
+from .core import (TAU, MapParams, arg_h, circle_dist, normalize_angle,
+                   require_integer)
 from .errors import InvalidParameter, ResourceLimit
 
 MAX_TREE_DEPTH = 20
@@ -82,6 +82,7 @@ def _require_finite(fn: str, name: str, x: float) -> None:
 def orbit(p: MapParams, phi: float, n: int) -> list[float]:
     """Forward orbit [phi, H~(phi), ..., H~^n(phi)]."""
     _require_finite("orbit", "phi", phi)
+    n = require_integer("orbit", "n", n)
     if n < 0:
         raise InvalidParameter(f"orbit needs n >= 0, got n={n}")
     if n > MAX_ORBIT_LEN:
@@ -125,11 +126,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
     _require_finite("classify_limit", "phi", phi)
-    try:
-        max_iter = operator.index(max_iter)
-    except TypeError:
-        raise InvalidParameter(f"classify_limit needs an integer max_iter, "
-                               f"got max_iter={max_iter!r}") from None
+    max_iter = require_integer("classify_limit", "max_iter", max_iter)
     if max_iter < 0:
         raise InvalidParameter(f"need max_iter >= 0, got max_iter={max_iter}")
     targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
@@ -183,6 +180,7 @@ def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
                        n_iter: int, tol: float) -> float:
     """Fraction of an angle array within tol of target after n_iter steps."""
     _require_finite("converged_fraction", "target", target)
+    n_iter = require_integer("converged_fraction", "n_iter", n_iter)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     w = np.empty_like(z)
     for _ in range(n_iter):
@@ -227,6 +225,7 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
     """All depth-level preimages of phi under the circle map."""
     _require_finite("backward_tree", "phi", phi)
+    depth = require_integer("backward_tree", "depth", depth)
     if depth < 0:
         raise InvalidParameter(f"need depth >= 0, got depth={depth}")
     if depth > MAX_TREE_DEPTH:

@@ -7,8 +7,10 @@ resource limit, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -18,7 +20,7 @@ from .circle import orbit
 from .rays import fixed_rays, k_theta
 from .mobius import dilatation_distance_series, growth_fit
 from .blaschke import julia_classification, julia_sample, immediate_basin
-from .plane import Window, render_grid, write_ppm, write_stats
+from .plane import Window, _rewrite, render_grid, write_ppm, write_stats
 from .obstruct import TRACE_TOL, obstruction_report
 from .errors import (InvalidParameter, NoBasin, NumericalFailure,
                      ResourceLimit)
@@ -76,27 +78,35 @@ def _run_config(args):
     return cfg
 
 
+@contextlib.contextmanager
+def _out_text(out, newline=None):
+    """Text stream to the --out file, rewritten in place as plane's outputs
+    are, or stdout without --out."""
+    if not out:
+        yield sys.stdout
+        return
+    with _rewrite(out) as raw:
+        f = io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+        try:
+            yield f
+        finally:
+            f.detach()  # flushes the text before _rewrite cuts the file
+
+
 def _emit(args, rows, header, json_payload):
     """Write CSV rows or a JSON object to --out (default stdout)."""
     out = getattr(args, "out", None)
     if args.format == "csv":
-        f = open(out, "w", newline="") if out else sys.stdout
-        try:
+        with _out_text(out, newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
             for row in rows:
                 w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        finally:
-            if out:
-                f.close()
     else:
         json_payload["config"] = _run_config(args)
         text = json.dumps(json_payload, indent=2, sort_keys=True) + "\n"
-        if out:
-            with open(out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        with _out_text(out) as f:
+            f.write(text)
 
 
 def cmd_fixed_rays(args):

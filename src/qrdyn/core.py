@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
@@ -22,6 +23,16 @@ def normalize_angle(x: float) -> float:
     if a > math.pi:
         a -= TAU
     return a
+
+
+def require_integer(fn: str, name: str, value) -> int:
+    """A loop count as an int: InvalidParameter naming the value unless
+    operator.index accepts it (Python and numpy integers, not floats)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{fn} needs an integer {name}, "
+                               f"got {name}={value!r}") from None
 
 
 def circle_dist(a: float, b: float) -> float:

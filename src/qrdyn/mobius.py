@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, MapParams, arg_h, circle_dist, normalize_angle
+from .core import (TAU, MapParams, arg_h, circle_dist, normalize_angle,
+                   require_integer)
 from .circle import require_fixed_angle
 from .errors import InvalidParameter, ResourceLimit
 
@@ -125,6 +126,7 @@ def _fold(mu: complex, phases: list[complex]) -> complex:
 def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
     """Complex dilatation of H^n on the fixed ray phi: A^{n-1}(mu) with
     A = fixed_ray_mobius(p, phi)."""
+    n = require_integer("dilatation_on_ray", "n", n)
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got n={n}")
     return _fold(p.mu, _chain_phases(p, float(phi), n))
@@ -132,6 +134,7 @@ def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
 
 def dilatation_chain(p: MapParams, z: complex, n: int) -> complex:
     """Complex dilatation of H^n at z via the non-autonomous Mobius chain."""
+    n = require_integer("dilatation_chain", "n", n)
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got n={n}")
     return _fold(p.mu, _chain_phases(p, complex(z), n))
@@ -155,6 +158,7 @@ def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
     accurate when v pins to the boundary numerically.  Each factor has
     determinant 1 - |mu|^2.
     """
+    n_max = require_integer("dilatation_distance_series", "n_max", n_max)
     if n_max < 1:
         raise InvalidParameter(f"need n_max >= 1, got n_max={n_max}")
     mu = p.mu

@@ -4,21 +4,26 @@ undecided points near their common boundary; grid rendering to PPM."""
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, eval_H, radial_stretch
+from .core import MapParams, eval_H, radial_stretch, require_integer
 from .circle import require_fixed_angle
 from .errors import InvalidParameter, ResourceLimit
 
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
-# 128 KiB of complex128, below numpy's 256 KiB threshold for reusing
-# temporaries in place, so a pixel's arithmetic does not depend on its block
+# 128 KiB of complex128 per kernel buffer.  The kernel's step makes no
+# temporaries, so a pixel's arithmetic does not depend on its block; eval_H
+# on an array of 256 KiB or more would, as numpy then reuses temporaries in
+# place with the operands of mu * conj(z) swapped
 BLOCK_PIXELS = 8192
 
 
@@ -43,19 +48,23 @@ class PointResult:
 _POINT_CLASSES = (PointClass.UNDECIDED, PointClass.ESCAPED, PointClass.ATTRACTED)
 
 
-def _require_max_iter(max_iter: int) -> None:
-    """max_iter is at least 1 and fits the int32 counts."""
+def _require_max_iter(fn: str, max_iter: int) -> int:
+    """max_iter as an int, at least 1 and fitting the int32 counts."""
+    max_iter = require_integer(fn, "max_iter", max_iter)
     if max_iter < 1:
         raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
     limit = np.iinfo(np.int32).max
     if max_iter > limit:
         raise ResourceLimit(f"max_iter {max_iter} exceeds limit {limit}")
+    return max_iter
 
 
 def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
     """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
-    _require_max_iter(max_iter)
-    labels, counts = _classify_block(p, np.array([z], dtype=complex), max_iter)
+    max_iter = _require_max_iter("classify_point", max_iter)
+    labels, counts = np.empty(1, np.uint8), np.empty(1, np.int32)
+    _classify_block(p, np.array([z], dtype=complex), max_iter, labels, counts,
+                    _scratch(1))
     return PointResult(_POINT_CLASSES[labels[0]], int(counts[0]))
 
 
@@ -101,48 +110,70 @@ class PlaneGrid:
 
     def stats(self) -> dict:
         total = self.labels.size
-        # the counts are exact, so each fraction is rounded once;
-        # np.bincount would first copy the uint8 labels to intp
-        n = [int(np.count_nonzero(self.labels == k)) for k in range(3)]
+        # the counts are exact, so each fraction is rounded once; two passes,
+        # as the decided labels are the nonzero ones (np.bincount would
+        # first copy the uint8 labels to intp)
+        decided = int(np.count_nonzero(self.labels))
+        attracted = int(np.count_nonzero(self.labels == 2))
         return {
-            "escaped_fraction": n[1] / total,
-            "attracted_fraction": n[2] / total,
-            "undecided_fraction": n[0] / total,
+            "escaped_fraction": (decided - attracted) / total,
+            "attracted_fraction": attracted / total,
+            "undecided_fraction": (total - decided) / total,
             "pixels": int(total),
             "max_iter": self.max_iter,
         }
 
 
-def _classify_block(p: MapParams, z: np.ndarray, max_iter: int):
-    """Escaping (label 1) / attracted-to-0 (2) / undecided (0) for each
-    point of a complex array, with the first iterate past the certifying
-    radius (max_iter for the undecided).
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch arrays of _classify_block for blocks of up to size pixels."""
+    return np.empty(size, complex), np.empty(size, complex), np.empty(size)
 
-    Only the still-active pixels are iterated: `w` holds their orbits and
-    `idx` their flat positions, both shrunk on every step that decides one.
+
+def _classify_block(p: MapParams, w: np.ndarray, max_iter: int,
+                    labels: np.ndarray, counts: np.ndarray, scratch) -> None:
+    """Escaping (label 1) / attracted-to-0 (2) / undecided (0) for each
+    point of the flat complex array w, written into the flat labels and
+    counts of its size, with the first iterate past the certifying radius
+    (max_iter for the undecided).
+
+    w is overwritten and scratch is _scratch(n) for some n >= w.size.  Only
+    the still-active pixels are iterated: a prefix of w holds their orbits
+    and `idx` their positions, both compacted on every step that decides
+    one.
     """
     ra = r_attract(p)
-    labels = np.zeros(z.size, dtype=np.uint8)
-    counts = np.full(z.size, max_iter, dtype=np.int32)
-    w = z.astype(complex).ravel()
-    idx = np.arange(z.size)
+    c, mu = 0.5 * (p.K + 1.0), p.mu
+    t, u, m = scratch
+    labels.fill(0)
+    counts.fill(max_iter)
+    idx = np.arange(w.size)
     for n in range(max_iter + 1):
-        m = np.abs(w)
-        esc = m > R_ESCAPE
-        att = m < ra
+        mk = np.abs(w, out=m[:w.size])
+        esc = mk > R_ESCAPE
+        att = mk < ra
         done = esc | att
         if done.any():
             labels[idx[esc]] = 1
             labels[idx[att]] = 2
             counts[idx[done]] = n
             active = ~done
-            w, idx = w[active], idx[active]
+            idx = idx[active]
             if not idx.size:
                 break
+            w[:idx.size] = w[active]
+            w = w[:idx.size]
         if n == max_iter:
             break
-        w = eval_H(p, w)
-    return labels.reshape(z.shape), counts.reshape(z.shape)
+        # w <- (c (w + mu conj(w)))^2 with eval_H's operations in eval_H's
+        # operand order.  mu conj(w) goes to a buffer of its own: on one
+        # element numpy rounds an in-place complex product differently from
+        # one written to other memory.
+        tk, uk = t[:w.size], u[:w.size]
+        np.conjugate(w, out=tk)
+        np.multiply(mu, tk, out=uk)
+        np.add(w, uk, out=tk)
+        np.multiply(c, tk, out=tk)
+        np.multiply(tk, tk, out=w)
 
 
 def _row_blocks(nx: int, ny: int):
@@ -158,7 +189,7 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     in turn in the calling thread.  The result depends only on the
     arguments, not on the core count or the environment.
     """
-    _require_max_iter(max_iter)
+    max_iter = _require_max_iter("render_grid", max_iter)
     if isinstance(resolution, int):
         resolution = (resolution, resolution)
     nx, ny = resolution
@@ -173,9 +204,14 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
 
     labels = np.empty((ny, nx), dtype=np.uint8)
     counts = np.empty((ny, nx), dtype=np.int32)
+    size = nx * max(1, BLOCK_PIXELS // nx)  # pixels of the largest block
+    w, scratch = np.empty(size, complex), _scratch(size)
     for rows in _row_blocks(nx, ny):
-        z = xs[None, :] + 1j * ys[rows, None]
-        labels[rows], counts[rows] = _classify_block(p, z, max_iter)
+        lab = labels[rows]
+        wb = w[:lab.size]
+        np.add(xs[None, :], 1j * ys[rows, None], out=wb.reshape(lab.shape))
+        _classify_block(p, wb, max_iter, lab.reshape(-1),
+                        counts[rows].reshape(-1), scratch)
     return PlaneGrid(window=window, resolution=(nx, ny), labels=labels,
                      counts=counts, max_iter=max_iter)
 
@@ -204,6 +240,27 @@ def _palette(max_iter: int, c: int) -> np.ndarray:
     return pal.reshape(-1, 3)
 
 
+@contextlib.contextmanager
+def _rewrite(path: str):
+    """A binary file writing path from its first byte, without truncating
+    it first: an existing file is overwritten in place, and on exit, also
+    on an exception, a regular file is cut at the bytes written.
+
+    Truncating a file to zero when it is opened can cost more than the
+    writing (a filesystem may push a file truncated to zero and rewritten
+    to disk when it is closed).  Like open(path, "wb"), this follows a
+    symbolic link, writes through a hard link, and creates a new file with
+    mode 0o666 less the umask; a device such as /dev/null is not truncated.
+    A write stopped part way leaves the new bytes followed by old ones.
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        try:
+            yield f
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+
+
 def write_ppm(grid: PlaneGrid, path: str) -> None:
     """Binary P6 image of the grid, coloured and written one block of rows
     at a time, so the image is never held whole.
@@ -214,12 +271,13 @@ def write_ppm(grid: PlaneGrid, path: str) -> None:
     """
     ny, nx = grid.labels.shape
     c = int(grid.counts.max())
-    pal = _palette(grid.max_iter, c)
-    with open(path, "wb") as f:
+    # one 3-byte item per palette row, so a lookup gathers whole pixels
+    pal = _palette(grid.max_iter, c).view("V3").reshape(-1)
+    with _rewrite(path) as f:
         f.write(f"P6\n{nx} {ny}\n255\n".encode("ascii"))
         for rows in _row_blocks(nx, ny):
             idx = grid.labels[rows].astype(np.intp) * (c + 1) + grid.counts[rows]
-            f.write(np.take(pal, idx, axis=0))
+            f.write(np.take(pal, idx))
 
 
 def write_stats(grid: PlaneGrid, p: MapParams, path: str) -> None:
@@ -235,5 +293,5 @@ def write_stats(grid: PlaneGrid, p: MapParams, path: str) -> None:
         "resolution": list(grid.resolution),
     })
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
+    with _rewrite(path) as f:
+        f.write(text.encode("ascii"))

@@ -53,6 +53,16 @@ def test_fixed_rays_csv_round_trip(tmp_path):
         assert float(row["trace_sq"]) == ray.trace_sq
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_over_a_longer_file_leaves_only_the_new_output(tmp_path, fmt):
+    argv = ["fixed-rays", "--K", "4", "--theta", "0", "--format", fmt]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.write_bytes(b"z" * 50_000)
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert main(argv + ["--out", str(reused)]) == 0
+    assert reused.read_bytes().replace(b"reused", b"fresh") == fresh.read_bytes()
+
+
 def test_mu_flag_equivalent_to_K_theta(capsys):
     code1, out1 = run(capsys, "fixed-rays", "--K", "2", "--theta", "0",
                       "--format", "csv")

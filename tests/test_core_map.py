@@ -3,8 +3,10 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
+from qrdyn import blaschke, circle, mobius, plane, rays
 from qrdyn.core import (arg_h, circle_dist, eval_h, eval_H, eval_H_polar,
                         make_params, normalize_angle, params_of_mu,
                         radial_stretch)
@@ -97,3 +99,35 @@ def test_eval_H_polar_rejects_negative_radius():
     p = make_params(2.0, 0.0)
     with pytest.raises(InvalidParameter):
         eval_H_polar(p, -1.0, 0.0)
+
+
+P = make_params(2.0, 0.3)
+# each public loop count, as a call of that count alone
+LOOP_COUNTS = {
+    "orbit n": lambda n: circle.orbit(P, 0.5, n),
+    "backward_tree depth": lambda n: circle.backward_tree(P, 0.5, n),
+    "converged_fraction n_iter":
+        lambda n: circle.converged_fraction(P, np.zeros(3), 0.0, n, 1e-6),
+    "classify_limit max_iter": lambda n: circle.classify_limit(P, 0.5, n),
+    "dilatation_chain n": lambda n: mobius.dilatation_chain(P, 0.5 + 0.5j, n),
+    "dilatation_on_ray n": lambda n: mobius.dilatation_on_ray(
+        P, rays.fixed_rays(P).rays[0].angle, n),
+    "dilatation_distance_series n_max":
+        lambda n: mobius.dilatation_distance_series(P, 0.5 + 0.5j, n),
+    "julia_sample count": lambda n: blaschke.julia_sample(P, n, 1),
+    "render_grid max_iter":
+        lambda n: plane.render_grid(P, plane.Window(0j, 1.0, 1.0), 4, n),
+    "classify_point max_iter": lambda n: plane.classify_point(P, 0.1j, n),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("fn_name", sorted(LOOP_COUNTS))
+def test_non_integer_loop_counts_raise_invalid_parameter(fn_name, value):
+    # one shared operator.index check: a bare TypeError from range() before
+    fn, name = fn_name.split()
+    with pytest.raises(InvalidParameter,
+                       match=re.escape(f"{fn} needs an integer {name}, "
+                                       f"got {name}={value!r}")):
+        LOOP_COUNTS[fn_name](value)
+    LOOP_COUNTS[fn_name](np.int64(2))  # numpy integers are integers

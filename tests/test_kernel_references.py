@@ -38,7 +38,11 @@ arithmetic that changed:
   (T - 2 - sqrt(T^2 - 4T))/2: the two differ by no more than the rounding
   error of the latter, which grows as eps T^2/(4 sqrt(T (T - 4)));
 - write_ppm colours and writes one block of rows at a time instead of the
-  whole image at once: the same bytes.
+  whole image at once: the same bytes;
+- render_grid steps eval_H's operations, in eval_H's operand order, on
+  buffers allocated once per render instead of on fresh temporaries, and
+  writes labels and counts straight into the grid: the same labels and
+  counts, bit for bit.
 """
 
 import cmath
@@ -56,14 +60,15 @@ from qrdyn.circle import (DEDUP_TOL, LIMIT_TOL, LimitOutcome, LimitReport,
                           circle_map_deriv, circle_preimages, classify_limit,
                           converged_fraction, orbit)
 from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
+                        radial_stretch,
                         normalize_angle)
 from qrdyn.errors import InvalidParameter, NumericalFailure
 from qrdyn.mobius import (DiskMobius, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
                           fixed_ray_mobius, hyperbolic_dist, mobius_apply)
-from qrdyn.plane import (BLOCK_PIXELS, PlaneGrid, PointClass, PointResult,
+from qrdyn.plane import (BLOCK_PIXELS, MAX_RESOLUTION, PlaneGrid, PointClass, PointResult,
                          R_ESCAPE, Window, _palette, classify_point, r_attract,
-                         write_ppm)
+                         render_grid, write_ppm)
 from qrdyn.rays import (FixedRay, Regime, RegimeReport, Stability,
                         _fixed_rays, cubic_coeffs, fixed_rays, k_theta,
                         theta_of_K, trace_sq_of_angle)
@@ -201,6 +206,49 @@ def ref_classify_point(p, z, max_iter):
             return PointResult(PointClass.ATTRACTED, n)
         w = eval_H(p, w)
     return PointResult(PointClass.UNDECIDED, max_iter)
+
+
+def ref_classify_block(p, z, max_iter):
+    ra = r_attract(p)
+    labels = np.zeros(z.size, dtype=np.uint8)
+    counts = np.full(z.size, max_iter, dtype=np.int32)
+    w = z.astype(complex).ravel()
+    idx = np.arange(z.size)
+    for n in range(max_iter + 1):
+        m = np.abs(w)
+        esc = m > R_ESCAPE
+        att = m < ra
+        done = esc | att
+        if done.any():
+            labels[idx[esc]] = 1
+            labels[idx[att]] = 2
+            counts[idx[done]] = n
+            active = ~done
+            w, idx = w[active], idx[active]
+            if not idx.size:
+                break
+        if n == max_iter:
+            break
+        w = eval_H(p, w)
+    return labels.reshape(z.shape), counts.reshape(z.shape)
+
+
+def ref_render_labels_counts(p, window, resolution, max_iter):
+    """render_grid's labels and counts from ref_classify_block, on blocks
+    of whole rows of at most BLOCK_PIXELS pixels (larger blocks let numpy
+    reuse temporaries in place, which changes bits)."""
+    nx, ny = resolution
+    xs = window.center.real + window.width * ((np.arange(nx) + 0.5) / nx - 0.5)
+    ys = window.center.imag + window.height * ((np.arange(ny) + 0.5) / ny - 0.5)
+    ys = ys[::-1]
+    labels = np.empty((ny, nx), dtype=np.uint8)
+    counts = np.empty((ny, nx), dtype=np.int32)
+    step = max(1, BLOCK_PIXELS // nx)
+    for i in range(0, ny, step):
+        rows = slice(i, i + step)
+        z = xs[None, :] + 1j * ys[rows, None]
+        labels[rows], counts[rows] = ref_classify_block(p, z, max_iter)
+    return labels, counts
 
 
 def ref_grid_to_rgb(grid):
@@ -423,6 +471,62 @@ def block_edge_grids():
 
 
 BLOCK_EDGE_GRIDS = block_edge_grids()
+
+
+def repelling_point(p, rng):
+    """The float nearest a radial fixed point on a repelling fixed ray."""
+    rays = [r for r in fixed_rays(p).rays if r.stability is Stability.REPELLING]
+    phi = rng.choice(rays).angle
+    return cmath.rect(1.0 / radial_stretch(p, phi), phi)
+
+
+def benchmark_like_params(rng):
+    """A map like the benchmark's zooms: K in [1.3, 12], |theta| <= 1.3."""
+    return make_params(math.exp(rng.uniform(math.log(1.3), math.log(12.0))),
+                       rng.uniform(-1.3, 1.3))
+
+
+def kernel_renders():
+    """Seeded render_grid calls, by name, as (p, window, resolution,
+    max_iter): zooms into the boundary at repelling radial fixed points,
+    windows holding the whole set, K from 1 + 1e-6 to 1e6, the extreme
+    budgets, one-row and one-column grids and grids decided at n = 0."""
+    rng = random.Random(90)
+    out = {}
+    ks = [1.0 + 1e-6, 1e6] + [1.0 + 10 ** rng.uniform(-6.0, 6.0) for _ in range(6)]
+    for i, K in enumerate(ks):
+        p = make_params(K, rng.uniform(-math.pi / 2, math.pi / 2))
+        z0 = repelling_point(p, rng)
+        hw = 10 ** rng.uniform(-14.0, -6.0)
+        # escaping from the fixed point takes about log2(r/hw) doublings
+        depth = int(math.log2(abs(z0) / hw)) + 8
+        for budget in (1, depth, 3000):
+            out[f"zoom-{i}-iter{budget}"] = (
+                p, Window(z0, 2.0 * hw, 1.4 * hw), (23, 17), budget)
+        hw = rng.uniform(1.05, 1.6)
+        out[f"whole-{i}"] = (p, Window(complex(rng.uniform(-0.05, 0.05),
+                                               rng.uniform(-0.05, 0.05)),
+                                       2.0 * hw, 2.0 * hw), (40, 31), 200)
+    # pixels a few ulps apart, whose orbits follow the rounding of each step
+    for i in range(8):
+        p = benchmark_like_params(rng)
+        out[f"ulp-zoom-{i}"] = (p, Window(repelling_point(p, rng), 2e-14, 2e-14),
+                                (23, 17), 200)
+    p = make_params(3.0, 0.4)
+    zoom = Window(repelling_point(p, rng), 1e-9, 1e-9)
+    out["one-row"] = (p, zoom, (MAX_RESOLUTION, 1), 60)
+    out["one-column"] = (p, zoom, (1, MAX_RESOLUTION), 60)
+    out["ragged-blocks"] = (p, zoom, (100, 83), 60)  # 81 + 2 rows
+    # the centre pixel sits on the radial fixed point 1/4 of (2, 0) and never
+    # decides; the others leave it from 1e-300 away
+    out["fixed-point-iter3000"] = (make_params(2.0, 0.0),
+                                   Window(0.25 + 0j, 1e-300, 1e-300), (3, 3), 3000)
+    out["escaped-at-0"] = (p, Window(5.0 + 5.0j, 1.0, 1.0), (130, 70), 3000)
+    out["attracted-at-0"] = (p, Window(0j, 1e-3, 1e-3), (130, 70), 3000)
+    return out
+
+
+KERNEL_RENDERS = kernel_renders()
 
 
 # ------------------------------------------------------------------ tests
@@ -669,3 +773,24 @@ def test_write_ppm_bytes_equal_whole_image_reference(tmp_path, name):
     write_ppm(g, str(out))
     assert out.read_bytes() == (f"P6\n{nx} {ny}\n255\n".encode("ascii")
                                 + ref_grid_to_rgb(g).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RENDERS))
+def test_render_grid_bit_identical_to_reference(name):
+    p, window, resolution, max_iter = KERNEL_RENDERS[name]
+    g = render_grid(p, window, resolution, max_iter)
+    labels, counts = ref_render_labels_counts(p, window, resolution, max_iter)
+    assert np.array_equal(g.labels, labels)
+    assert np.array_equal(g.counts, counts)
+
+
+def test_render_grid_bit_identical_on_one_pixel_at_fixed_points():
+    # a lone pixel on a float fixed point leaves it by the rounding of each
+    # step, so its count shows any change to one active pixel's arithmetic
+    rng = random.Random(92)
+    for _ in range(100):
+        p = benchmark_like_params(rng)
+        window = Window(repelling_point(p, rng), 1.0, 1.0)
+        g = render_grid(p, window, 1, 200)
+        labels, counts = ref_render_labels_counts(p, window, (1, 1), 200)
+        assert (g.labels[0, 0], g.counts[0, 0]) == (labels[0, 0], counts[0, 0]), p

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import tracemalloc
@@ -12,8 +13,8 @@ import pytest
 from qrdyn.core import arg_h, eval_H, make_params, radial_stretch
 from qrdyn.errors import InvalidParameter, ResourceLimit
 from qrdyn.plane import (PlaneGrid, PointClass, R_ESCAPE, Window,
-                         _classify_block, classify_point, r_attract,
-                         radial_fixed_point, render_grid, write_ppm,
+                         _classify_block, _rewrite, _scratch, classify_point,
+                         r_attract, radial_fixed_point, render_grid, write_ppm,
                          write_stats)
 from qrdyn.rays import fixed_rays
 
@@ -232,6 +233,16 @@ def test_render_golden_digests(tmp_path, case, ppm_sha, stats_sha):
     assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_sha
 
 
+def classify_block(p, z, max_iter):
+    """_classify_block on fresh arrays of z's shape: (labels, counts)."""
+    labels = np.empty(z.shape, dtype=np.uint8)
+    counts = np.empty(z.shape, dtype=np.int32)
+    w = np.array(z, dtype=complex).ravel()
+    _classify_block(p, w, max_iter, labels.reshape(-1), counts.reshape(-1),
+                    _scratch(w.size))
+    return labels, counts
+
+
 def test_render_grid_matches_row_by_row_kernel():
     # the block layout must not change a pixel: each row on its own stays
     # far below the size where numpy's rounding changes
@@ -242,7 +253,7 @@ def test_render_grid_matches_row_by_row_kernel():
     xs = w.center.real + w.width * ((np.arange(nx) + 0.5) / nx - 0.5)
     ys = w.center.imag + w.height * ((np.arange(ny) + 0.5) / ny - 0.5)
     for i, y in enumerate(ys[::-1]):
-        labels, counts = _classify_block(p, xs + 1j * y, max_iter)
+        labels, counts = classify_block(p, xs + 1j * y, max_iter)
         assert np.array_equal(g.labels[i], labels), f"row {i}"
         assert np.array_equal(g.counts[i], counts), f"row {i}"
 
@@ -252,7 +263,7 @@ def test_classify_block_keeps_shape():
     rng = np.random.default_rng(45)
     for shape in [(7,), (3, 5), (1,), (1, 1)]:
         z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
-        labels, counts = _classify_block(p, z, 60)
+        labels, counts = classify_block(p, z, 60)
         assert labels.shape == counts.shape == shape
         assert labels.dtype == np.uint8 and counts.dtype == np.int32
         for zi, lab, cnt in zip(z.ravel(), labels.ravel(), counts.ravel()):
@@ -342,3 +353,73 @@ def test_write_ppm_holds_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+def test_rewrite_leaves_exactly_the_new_bytes(tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 1000)
+    with _rewrite(str(out)) as f:
+        f.write(b"short")
+    assert out.read_bytes() == b"short"
+    with _rewrite(str(out)) as f:  # a longer output grows the file
+        f.write(b"y" * 1500)
+    assert out.read_bytes() == b"y" * 1500
+
+
+def test_rewrite_writes_through_links_as_open_wb_does(tmp_path):
+    target = tmp_path / "target"
+    target.write_bytes(b"old old old")
+    sym, hard = tmp_path / "sym", tmp_path / "hard"
+    sym.symlink_to(target)
+    os.link(target, hard)
+    with _rewrite(str(sym)) as f:
+        f.write(b"new")
+    assert sym.is_symlink() and target.read_bytes() == b"new"
+    with _rewrite(str(hard)) as f:
+        f.write(b"newer")
+    assert hard.read_bytes() == target.read_bytes() == b"newer"
+    assert os.path.samefile(hard, target)
+
+
+def test_rewrite_leaves_a_device_untruncated():
+    # ftruncate fails on a character device, so this only passes if
+    # _rewrite skips it there
+    with _rewrite(os.devnull) as f:
+        f.write(b"discarded")
+    assert not os.path.isfile(os.devnull)
+
+
+def test_rewrite_cuts_at_the_bytes_written_on_an_exception(tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"o" * 100)
+    with pytest.raises(RuntimeError, match="stopped"):
+        with _rewrite(str(out)) as f:
+            f.write(b"new")
+            raise RuntimeError("stopped")
+    assert out.read_bytes() == b"new"
+
+
+def test_rewrite_creates_files_with_the_umask_applied(tmp_path):
+    out = tmp_path / "new"
+    old = os.umask(0o027)
+    try:
+        with _rewrite(str(out)) as f:
+            f.write(b"made")
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert out.read_bytes() == b"made"
+
+
+def test_render_outputs_over_longer_files(tmp_path):
+    # a shorter render over a longer one leaves only the new bytes
+    K, theta, bounds, res, max_iter = GOLDEN[0][0]
+    p = make_params(K, theta)
+    g = render_grid(p, Window.from_bounds(*bounds), res, max_iter)
+    ppm, stats = tmp_path / "out.ppm", tmp_path / "out.json"
+    ppm.write_bytes(b"\xff" * 100_000)
+    stats.write_bytes(b"{" * 10_000)
+    write_ppm(g, str(ppm))
+    write_stats(g, p, str(stats))
+    assert hashlib.sha256(ppm.read_bytes()).hexdigest() == GOLDEN[0][1]
+    assert hashlib.sha256(stats.read_bytes()).hexdigest() == GOLDEN[0][2]
