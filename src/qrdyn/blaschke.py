@@ -77,21 +77,28 @@ def julia_sample(p: MapParams, count: int, seed: int) -> list[float]:
     getrandbits = random.Random(seed).getrandbits
     # circle_preimages written out with the same float operations, so the
     # sample is bit-identical to calling it
-    K, theta, pi = p.K, p.theta, math.pi
+    K, theta, two_theta, pi = p.K, p.theta, 2.0 * p.theta, math.pi
     atan2, sin, cos = math.atan2, math.sin, math.cos
     x = repellers[0].angle
     out = []
-    for i in range(count + SAMPLE_BURN_IN):
-        u = (x - 2.0 * theta) / 2.0
-        x = (theta + atan2(K * sin(u), cos(u))) % TAU
+    for _ in range(count + SAMPLE_BURN_IN):
+        u = (x - two_theta) / 2.0
+        # x is in (-3pi/2, 3pi/2], where x % TAU is x above 0, fl(x + TAU)
+        # below 0 and +0.0 at +-0.0, which TAU - TAU below also gives
+        x = theta + atan2(K * sin(u), cos(u))
+        if x <= 0.0:
+            x += TAU
         if x > pi:
             x -= TAU
         if getrandbits(1):
-            x = (x + pi) % TAU
+            # x + pi is in (0, 2pi], where % TAU only maps 2pi to 0
+            x += pi
+            if x >= TAU:
+                x -= TAU
             if x > pi:
                 x -= TAU
-        if i >= SAMPLE_BURN_IN:
-            out.append(x)
+        out.append(x)
+    del out[:SAMPLE_BURN_IN]
     return out
 
 

@@ -61,16 +61,27 @@ def circle_preimages(p: MapParams, psi: float) -> tuple[float, float]:
     return phi, normalize_angle(phi + math.pi)
 
 
-def _unit_step(mu: complex, z: np.ndarray, w: np.ndarray) -> None:
-    """One circle-map step on unit complex numbers z = e^{i phi}, in place:
-    z <- w / conj(w) = (w/|w|)^2 with w = z + mu conj(z) a positive multiple
-    of h(z).  w is scratch space of z's shape.  The step is invariant under
-    scaling z, so rounding in |z| does not build up over iterations."""
+def _circle_step(mu: complex, z: np.ndarray, w: np.ndarray) -> None:
+    """One circle-map step on nonzero complex numbers z, in place:
+    z <- w^2 with w = z + mu conj(z), a positive multiple of h(z), so
+    arg z becomes H~(arg z).  w is scratch space of z's shape.  |z| is not
+    kept: |w|/|z| lies in [2/(K+1), 2K/(K+1)], and the caller rescales."""
     np.conjugate(z, out=w)
     w *= mu
     w += z
-    np.conjugate(w, out=z)
-    np.divide(w, z, out=z)
+    np.multiply(w, w, out=z)
+
+
+def _rescale_period(K: float) -> int:
+    """The most circle steps, at most 8, that keep log2 |z| within 1000 of 0
+    from |z| = 1, far from overflow and the subnormals: a step doubles
+    log2 |z| and adds 2 log2(|w|/|z|), at most 2 max(1, log2((K+1)/2)) in
+    size, so j steps reach at most (2^(j+1) - 2) max(1, log2((K+1)/2))."""
+    c = max(1.0, math.log2((K + 1.0) / 2.0))
+    j = 8
+    while j > 1 and (2 ** (j + 1) - 2) * c > 1000.0:
+        j -= 1
+    return j
 
 
 def _require_finite(fn: str, name: str, x: float) -> None:
@@ -178,13 +189,23 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
 
 def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
                        n_iter: int, tol: float) -> float:
-    """Fraction of an angle array within tol of target after n_iter steps."""
+    """Fraction of an angle array within tol of target after n_iter steps.
+
+    The angles are iterated as complex numbers z = e^{i phi} by
+    z <- (z + mu conj z)^2, whose argument is H~(arg z).  A square is
+    cheaper than the division by its conjugate that would keep |z| = 1, so
+    every _rescale_period(K) steps z is divided by |z| instead.
+    """
     _require_finite("converged_fraction", "target", target)
     n_iter = require_integer("converged_fraction", "n_iter", n_iter)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     w = np.empty_like(z)
-    for _ in range(n_iter):
-        _unit_step(p.mu, z, w)
+    period = _rescale_period(p.K)
+    for i in range(1, n_iter + 1):
+        _circle_step(p.mu, z, w)
+        if i % period == 0:
+            z /= np.abs(z)
+    # the angle does not depend on |z|
     d = np.abs(np.angle(z * cmath.exp(-1j * target)))
     return float(np.mean(d < tol))
 

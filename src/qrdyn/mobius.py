@@ -13,6 +13,7 @@ contraction_k(tr^2) < 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,12 +76,23 @@ def fixed_ray_mobius(p: MapParams, phi: float) -> DiskMobius:
     return DiskMobius.from_coeffs(half, p.mu / half)
 
 
+# the most recent walk from a complex start: (p, phi0, phases, g) with phi0
+# the normalized arg of the start, phases the tuple s_1 .. s_m and g the
+# arg h of the next step.  The walk depends on p and phi0 alone, so a start
+# asked again with a longer n only walks the new steps.  The entry is
+# replaced by one assignment: another thread reads the old walk or the new
+# one, and both are right.  A walk longer than WALK_MEMO_MAX is not kept.
+_walk = None
+WALK_MEMO_MAX = 4096
+
+
 def _chain_phases(p: MapParams, target, n: int) -> list[complex]:
     """The unit numbers s_1 .. s_{n-1} of the chain factors that carry mu to
     the dilatation of H^n: every s is e^{-i phi/2} on a fixed angle phi (a
     real target), and s_i = e^{-i arg h(phi_{i-1})} along the orbit of
     arg z from a start z (a complex target), so |z| never overflows.  The
     sign of s and the normalization of a factor cancel in its ratio."""
+    global _walk
     if n > MAX_CHAIN_LEN:
         raise ResourceLimit(f"chain length {n} exceeds limit {MAX_CHAIN_LEN}")
     if not isinstance(target, complex):
@@ -93,25 +105,33 @@ def _chain_phases(p: MapParams, target, n: int) -> list[complex]:
         raise InvalidParameter(
             f"the chain needs a finite start z, got z={target!r}")
     phi = normalize_angle(cmath.phase(target))
-    # one arg h per step gives both s_i and phi_i = H~(phi_{i-1}) = 2 arg h
-    g = arg_h(p, phi)
-    # a numerically fixed starting angle stays put: forward iteration off a
-    # repelling fixed angle would amplify the rounding of the input instead
-    # of following the intended constant orbit
-    if circle_dist(normalize_angle(2.0 * g), phi) < 1e-13:
-        return [cmath.exp(-1j * g)] * (n - 1)
+    walk = _walk
+    if walk is not None and walk[1] == phi and walk[0] == p:
+        phases, g = walk[2], walk[3]
+        if n - 1 <= len(phases):
+            return list(phases[:n - 1])
+    else:
+        # one arg h per step gives both s_i and phi_i = H~(phi_{i-1}) = 2 arg h
+        phases, g = (), arg_h(p, phi)
+        # a numerically fixed starting angle stays put: forward iteration
+        # off a repelling fixed angle would amplify the rounding of the input
+        # instead of following the intended constant orbit
+        if circle_dist(normalize_angle(2.0 * g), phi) < 1e-13:
+            return [cmath.exp(-1j * g)] * (n - 1)
     # arg_h and normalize_angle written out with the same float operations
     K, theta, pi, exp = p.K, p.theta, math.pi, cmath.exp
     atan2, sin, cos = math.atan2, math.sin, math.cos
-    phases = []
-    for _ in range(n - 1):
-        phases.append(exp(-1j * g))
+    out = list(phases)
+    for _ in range(n - 1 - len(phases)):
+        out.append(exp(-1j * g))
         x = (2.0 * g) % TAU
         if x > pi:
             x -= TAU
         x -= theta
         g = theta + atan2(sin(x), K * cos(x))
-    return phases
+    if len(out) <= WALK_MEMO_MAX:
+        _walk = (p, phi, tuple(out), g)
+    return out
 
 
 def _fold(mu: complex, phases: list[complex]) -> complex:
@@ -157,10 +177,20 @@ def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
     tracks log(1-|v|^2) of the inverse orbit v so the distance stays
     accurate when v pins to the boundary numerically.  Each factor has
     determinant 1 - |mu|^2.
+
+    The most recent series is kept, so growth_fit after this call on the
+    same arguments does not compute it again.
     """
     n_max = require_integer("dilatation_distance_series", "n_max", n_max)
     if n_max < 1:
         raise InvalidParameter(f"need n_max >= 1, got n_max={n_max}")
+    target = complex(target) if isinstance(target, complex) else float(target)
+    return list(_distance_series(p, target, n_max))
+
+
+# typed: a fixed angle 0.0 and a start 0j are equal keys otherwise
+@functools.lru_cache(maxsize=1, typed=True)
+def _distance_series(p: MapParams, target, n_max: int) -> tuple[float, ...]:
     mu = p.mu
     out = [hyperbolic_dist(0.0j, mu)]  # n = 1, empty chain; needs |mu| < 1
     log_det = math.log1p(-abs(mu) ** 2)  # also log(1 - |mu|^2) of w0 = mu
@@ -175,7 +205,7 @@ def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
         rho = abs(v - mu) / d_den
         log_one_minus_rho_sq = log_s + log_det - 2.0 * math.log(d_den)
         out.append(2.0 * math.log1p(rho) - log_one_minus_rho_sq)
-    return out
+    return tuple(out)
 
 
 def growth_fit(p: MapParams, target, n_lo: int, n_hi: int) -> GrowthFit:

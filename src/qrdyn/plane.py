@@ -183,16 +183,19 @@ def _row_blocks(nx: int, ny: int):
 
 
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
-    """Classify every pixel of a grid over the window.
+    """Classify every pixel of a grid over the window; resolution is one
+    integer side or a pair (nx, ny) of them.
 
     Blocks of whole rows, at most BLOCK_PIXELS pixels each, are classified
     in turn in the calling thread.  The result depends only on the
     arguments, not on the core count or the environment.
     """
     max_iter = _require_max_iter("render_grid", max_iter)
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    nx, ny = resolution
+    if isinstance(resolution, (tuple, list)) and len(resolution) == 2:
+        nx, ny = (require_integer("render_grid", "resolution", side)
+                  for side in resolution)
+    else:
+        nx = ny = require_integer("render_grid", "resolution", resolution)
     if nx < 1 or ny < 1:
         raise InvalidParameter("resolution must be positive")
     if nx > MAX_RESOLUTION or ny > MAX_RESOLUTION:

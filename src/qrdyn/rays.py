@@ -204,7 +204,15 @@ def k_theta(theta: float) -> float:
     """The critical stretch K_theta where the fixed-ray count bifurcates.
 
     theta_of_K is strictly increasing on (2, inf), so bisection applies.
+    The result is shared by later calls on an equal theta while it stays
+    among the 64 most recently used, as fixed_rays does.
     """
+    return _k_theta(theta)
+
+
+# fixed_rays bisects its own direction, and callers then ask for it again
+@functools.lru_cache(maxsize=64)
+def _k_theta(theta: float) -> float:
     if theta == 0.0:
         return 2.0
     if not 0.0 < theta < math.pi / 2:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qrdyn.circle import (MAX_ORBIT_LEN, _unit_step, backward_tree, circle_map,
+from qrdyn.circle import (MAX_ORBIT_LEN, _circle_step, backward_tree, circle_map,
                           circle_map_deriv, circle_preimages, classify_limit,
                           converged_fraction, orbit, require_fixed_angle,
                           LimitOutcome)
@@ -79,7 +79,7 @@ def test_array_map_matches_scalar():
     p = make_params(3.5, -0.7)
     phis = np.linspace(-math.pi, math.pi, 257)
     z = np.exp(1j * phis)
-    _unit_step(p.mu, z, np.empty_like(z))
+    _circle_step(p.mu, z, np.empty_like(z))
     for x, y in zip(phis, np.angle(z)):
         assert circle_dist(circle_map(p, float(x)), float(y)) < 1e-12
 

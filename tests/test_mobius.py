@@ -1,12 +1,15 @@
 import cmath
 import decimal
 import math
+import os
 import random
 import re
 import sys
+import threading
 
 import pytest
 
+from qrdyn import mobius
 from qrdyn.core import make_params
 from qrdyn.errors import InvalidParameter, ResourceLimit
 from qrdyn.mobius import (MAX_CHAIN_LEN, DiskMobius, contraction_k,
@@ -233,3 +236,172 @@ def test_growth_fit_needs_two_points_after_burn_in(target, n_lo, n_hi):
 def test_distance_series_rejects_empty_range(target, n_max):
     with pytest.raises(InvalidParameter, match=f"n_max={n_max}"):
         dilatation_distance_series(make_params(2.0, 0.0), target, n_max)
+
+
+# ------------------------------------------------------ the walk and series memos
+
+def fresh(fn, *args):
+    """fn(*args) with the walk and series memos emptied first, as a repr so
+    that two results compare bit for bit (signed zeros included)."""
+    mobius._walk = None
+    mobius._distance_series.cache_clear()
+    return repr(fn(*args))
+
+
+def check_against_fresh(calls):
+    """Every call's result from the memos equals a fresh computation; the
+    fresh ones are all made before the sequence runs."""
+    want = [fresh(*call) for call in calls]
+    mobius._walk = None
+    mobius._distance_series.cache_clear()
+    got = [repr(call[0](*call[1:])) for call in calls]
+    for call, a, b in zip(calls, got, want):
+        assert a == b, call
+
+
+def test_series_memo_keeps_fixed_angles_and_starts_apart():
+    # 0.0 == -0.0 == 0j: a key that did not tell floats from complex
+    # numbers would answer the start 0j with the series of the angle 0.0
+    p = make_params(4.0, 0.0)
+    check_against_fresh([(dilatation_distance_series, p, 0.0, 60),
+                         (dilatation_distance_series, p, -0.0, 60),
+                         (growth_fit, p, 0.0, 10, 60),
+                         (growth_fit, p, -0.0, 10, 60)])
+    for n_max in (60, 40):
+        dilatation_distance_series(p, 0.0, n_max)
+        with pytest.raises(InvalidParameter, match="undefined at z = 0"):
+            dilatation_distance_series(p, 0j, n_max)
+        with pytest.raises(InvalidParameter, match="undefined at z = 0"):
+            growth_fit(p, 0j, 10, n_max)
+
+
+def test_memos_return_fresh_lists():
+    p = make_params(4.0, 0.0)
+    a = dilatation_distance_series(p, 0.0, 20)
+    a[0] = -1.0
+    assert dilatation_distance_series(p, 0.0, 20)[0] == math.log(4.0)
+    assert mobius._distance_series.cache_info().maxsize == 1
+    phases = mobius._chain_phases(p, 0.3 + 0.4j, 6)
+    want = list(phases)
+    phases[0] = 0j
+    assert mobius._chain_phases(p, 0.3 + 0.4j, 6) == want
+
+
+def test_chain_memo_matches_fresh_walks():
+    p, q = make_params(3.0, 0.4), make_params(1.7, -1.1)
+    z, w = 0.3 - 0.8j, -0.5 + 0.1j
+    calls = []
+    # two maps and two starts interleaved, n rising and falling
+    for n in (1, 2, 5, 3, 1, 9, 32, 17, 33):
+        for m, s in ((p, z), (p, w), (q, z), (p, z), (q, w)):
+            calls.append((dilatation_chain, m, s, n))
+    # a start sharing z's arg, a walk longer than the memo keeps, and the
+    # series of a start after its chains
+    for n in (4, 8, 6):
+        calls.append((dilatation_chain, p, 2.0 * z, n))
+        calls.append((dilatation_chain, p, z, n))
+    calls += [(dilatation_chain, p, z, mobius.WALK_MEMO_MAX + 50),
+              (dilatation_chain, p, z, 20),
+              (dilatation_chain, p, z, mobius.WALK_MEMO_MAX + 1),
+              (dilatation_chain, p, z, mobius.WALK_MEMO_MAX + 2),
+              (dilatation_distance_series, p, z, 40),
+              (dilatation_chain, p, z, 41),
+              (growth_fit, p, z, 10, 60),
+              (dilatation_distance_series, q, complex(z), 60),
+              (dilatation_distance_series, q, z, 60)]
+    check_against_fresh(calls)
+
+
+def usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_chain_memo_survives_thread_switches():
+    # more threads than cores, switching every microsecond, each comparing
+    # its chains with walks made before any thread started
+    maps = [make_params(3.0, 0.4), make_params(1.7, -1.1), make_params(12.0, 1.2)]
+    starts = [0.3 - 0.8j, -0.5 + 0.1j, 2.0 + 2.0j]
+    jobs = [(p, z, n) for p in maps for z in starts for n in (1, 3, 8, 20, 7)]
+    want = {job: fresh(dilatation_chain, *job) for job in jobs}
+    bad = []
+
+    def worker(seed):
+        order = random.Random(seed).sample(jobs, len(jobs))
+        try:
+            for _ in range(6):
+                for job in order:
+                    if repr(dilatation_chain(*job)) != want[job]:
+                        bad.append(job)
+        except Exception as e:  # a thread's exception would not fail the test
+            bad.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(usable_cores() + 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
+# ------------------------------------------ the fixed-ray series in closed form
+
+SERIES_REL_TOL = 1e-12  # fixed before measuring; the worst case here is 6.4e-15
+
+
+def closed_form_series(p, phi, n_max):
+    """d_h(0, mu_{H^n}) for n = 1..n_max on the fixed ray phi, from the
+    closed form of A^m: independent of the chain walk and the inverse orbit.
+
+    A = [[s, mu/s], [conj(mu/s), conj s]] with s = e^{-i phi/2} has
+    determinant 1 - |mu|^2 = 4K/(K+1)^2; scaled into SU(1,1) (and negated
+    if its trace is negative, which leaves the map alone) it has trace
+    2 cosh a, and then A^m = (sinh(ma) A - sinh((m-1)a) I)/sinh a.  With
+    A^m = [[alpha, beta], [conj beta, conj alpha]] and w = A^m(mu),
+    1 - |w|^2 = (1 - |mu|^2)/|conj(beta) mu + conj(alpha)|^2."""
+    K, mu = p.K, p.mu
+    c = 2.0 * math.sqrt(K) / (K + 1.0)
+    s = cmath.exp(-0.5j * phi)
+    a11, a12 = s / c, mu / s / c
+    if a11.real < 0.0:
+        a11, a12 = -a11, -a12
+    a = math.acosh(a11.real)
+    out = []
+    for m in range(n_max):
+        alpha = (math.sinh(m * a) * a11 - math.sinh((m - 1) * a)) / math.sinh(a)
+        beta = math.sinh(m * a) * a12 / math.sinh(a)
+        den = beta.conjugate() * mu + alpha.conjugate()
+        w = (alpha * mu + beta) / den
+        log_one_minus_w_sq = math.log(c * c) - 2.0 * math.log(abs(den))
+        out.append(2.0 * math.log1p(abs(w)) - log_one_minus_w_sq)
+    return out
+
+
+def test_distance_series_matches_the_closed_form_on_fixed_rays():
+    # ray_trace_sq is (1 + cos phi)(K+1)^2/(2K); the slope of the growth is
+    # log(1/k) = 2a, with cosh a = sqrt(tr^2)/2
+    rng = random.Random(97)
+    worst, maps = 0.0, 0
+    while maps < 60:
+        p = make_params(math.exp(rng.uniform(math.log(1.12), math.log(1000.0))),
+                        rng.uniform(-math.pi / 2, math.pi / 2))
+        T, phi = max(((1.0 + math.cos(r.angle)) * (p.K + 1.0) ** 2 / (2.0 * p.K),
+                      r.angle) for r in fixed_rays(p).rays)
+        if T <= 4.5:
+            continue
+        maps += 1
+        got = dilatation_distance_series(p, phi, 60)
+        want = closed_form_series(p, phi, 60)
+        for d, e in zip(got, want):
+            worst = max(worst, abs(d - e) / e)
+        log_1_k = 2.0 * math.acosh(math.sqrt(T) / 2.0)
+        assert abs(growth_fit(p, phi, 10, 60).slope - log_1_k) <= 1e-5
+    assert worst <= SERIES_REL_TOL

@@ -16,7 +16,7 @@ from qrdyn.plane import (PlaneGrid, PointClass, R_ESCAPE, Window,
                          _classify_block, _rewrite, _scratch, classify_point,
                          r_attract, radial_fixed_point, render_grid, write_ppm,
                          write_stats)
-from qrdyn.rays import fixed_rays
+from qrdyn.rays import fixed_rays, k_theta
 
 
 def test_thresholds_are_absorbing():
@@ -162,6 +162,26 @@ def test_render_resolution_limit():
     with pytest.raises(ResourceLimit,
                        match="max_iter 2147483648 exceeds limit 2147483647"):
         render_grid(p, Window(0j, 1.0, 1.0), 4, 2 ** 31)
+
+
+@pytest.mark.parametrize("resolution", [2.5, (4.0, 4), (4, 3.5), "4", (4,),
+                                        (4, 4, 4), None])
+def test_render_rejects_a_resolution_that_is_not_integers(resolution):
+    with pytest.raises(InvalidParameter,
+                       match="render_grid needs an integer resolution"):
+        render_grid(make_params(2.0, 0.3), Window(0j, 1.0, 1.0), resolution, 10)
+
+
+@pytest.mark.parametrize("resolution", [np.int64(4), (np.int32(4), 3),
+                                        [4, np.uint8(3)]])
+def test_render_takes_numpy_integer_sides(tmp_path, resolution):
+    p = make_params(2.0, 0.3)
+    g = render_grid(p, Window(0j, 1.0, 1.0), resolution, 10)
+    assert all(type(side) is int for side in g.resolution)
+    write_stats(g, p, str(tmp_path / "stats.json"))
+    want = (4, 4) if np.ndim(resolution) == 0 else (4, 3)
+    assert json.loads((tmp_path / "stats.json").read_text())["resolution"] \
+        == list(want)
 
 
 def test_ppm_and_stats_output(tmp_path):
@@ -423,3 +443,32 @@ def test_render_outputs_over_longer_files(tmp_path):
     write_stats(g, p, str(stats))
     assert hashlib.sha256(ppm.read_bytes()).hexdigest() == GOLDEN[0][1]
     assert hashlib.sha256(stats.read_bytes()).hexdigest() == GOLDEN[0][2]
+
+
+def test_classify_point_is_exactly_even():
+    # H(-z) = H(z) in floating point: negation is exact, h(-z) = -h(z) op
+    # for op, and a square forgets the sign.  So z and -z share the label
+    # and the count, near the repelling radial fixed points and both
+    # certifying radii too, where a rounding difference would show
+    rng = random.Random(83)
+    maps = [make_params(1.5, 0.3), make_params(2.0, 0.0),
+            make_params(k_theta(0.5), 0.5), make_params(4.0, 0.1)]
+    maps += [make_params(1.0 + 10 ** rng.uniform(-1.5, 1.5),
+                         rng.uniform(-math.pi / 2, math.pi / 2))
+             for _ in range(8)]
+    regimes = {fixed_rays(p).regime for p in maps}
+    assert len(regimes) == 4
+    for p in maps:
+        points = [10 ** rng.uniform(-3, 0.5)
+                  * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                  for _ in range(60)]
+        radii = [radial_fixed_point(p, r.angle) for r in fixed_rays(p).rays]
+        for r, phi in zip(radii, (r.angle for r in fixed_rays(p).rays)):
+            points += [(r + rng.uniform(-1e-12, 1e-12)) * cmath.exp(1j * phi)
+                       for _ in range(10)]
+        for rad in (R_ESCAPE, r_attract(p)):
+            points += [rad * (1.0 + rng.uniform(-1e-12, 1e-12))
+                       * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                       for _ in range(10)]
+        for z in points:
+            assert classify_point(p, -z, 300) == classify_point(p, z, 300), z

@@ -15,8 +15,8 @@ from qrdyn.errors import InvalidParameter, NumericalFailure
 from qrdyn.mobius import contraction_k
 from qrdyn.obstruct import obstruction_report
 from qrdyn.rays import (Regime, Stability, _cubic_roots, _fixed_rays,
-                        cubic_coeffs, fixed_rays, interval_J, k_theta,
-                        theta_of_K, trace_sq_of_angle)
+                        _k_theta, cubic_coeffs, fixed_rays, interval_J,
+                        k_theta, theta_of_K, trace_sq_of_angle)
 from quartic_oracle import exact_regime
 
 RAY_COUNT = {"one_repelling": 1, "one_parabolic": 1,
@@ -355,3 +355,28 @@ def test_fixed_rays_is_a_plain_function():
     # the benchmark's tracer only wraps plain functions, so an lru_cache
     # object in its place would drop the fixed_rays spans
     assert inspect.isfunction(fixed_rays)
+
+
+def test_k_theta_is_one_bisection_per_direction():
+    thetas = [0.0, 1e-7, 0.4, 1.2, 1.5]
+    _k_theta.cache_clear()
+    want = [repr(k_theta(th)) for th in thetas]
+    for th, w in zip(thetas, want):
+        _k_theta.cache_clear()
+        _fixed_rays.cache_clear()
+        assert repr(k_theta(th)) == w  # before fixed_rays
+        fixed_rays(make_params(3.0, th))
+        fixed_rays(make_params(5.0, th))
+        assert repr(k_theta(th)) == w  # after it, from the cache
+        info = _k_theta.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+    assert _k_theta.cache_info().maxsize == 64
+    assert inspect.isfunction(k_theta)
+
+
+def test_k_theta_errors_are_not_cached():
+    _k_theta.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidParameter, match="need theta in"):
+            k_theta(-0.3)
+    assert _k_theta.cache_info().currsize == 0
