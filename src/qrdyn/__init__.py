@@ -9,8 +9,7 @@ obstructions to quasiconformal equivalence near infinity.
 """
 
 from .core import (MapParams, make_params, params_of_mu, eval_h, eval_H,
-                   eval_H_polar, radial_stretch, arg_h, normalize_angle,
-                   circle_dist)
+                   radial_stretch, arg_h, normalize_angle, circle_dist)
 from .circle import (circle_map, circle_map_deriv, circle_preimages, orbit,
                      classify_limit, backward_tree, BackwardTree, LimitOutcome,
                      LimitReport)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TAU, MapParams, arg_h, circle_dist, normalize_angle,
-                   require_integer)
+                   require_finite, require_integer)
 from .errors import InvalidParameter, ResourceLimit
 
 MAX_TREE_DEPTH = 20
@@ -26,6 +26,7 @@ LIMIT_CONFIRM = 5        # classify_limit: consecutive arrivals before reporting
 
 def circle_map(p: MapParams, phi: float) -> float:
     """Angle of H(e^{i phi}), reduced to (-pi, pi]."""
+    require_finite("circle_map", "phi", phi)
     return normalize_angle(2.0 * arg_h(p, phi))
 
 
@@ -49,12 +50,14 @@ def require_fixed_angle(p: MapParams, phi: float) -> None:
 
 
 def circle_map_deriv(p: MapParams, phi: float) -> float:
+    require_finite("circle_map_deriv", "phi", phi)
     c = math.cos(phi - p.theta)
     return 2.0 * p.K / (1.0 + (p.K * p.K - 1.0) * c * c)
 
 
 def circle_preimages(p: MapParams, psi: float) -> tuple[float, float]:
     """The two angles phi, phi + pi with circle_map(phi) = psi."""
+    require_finite("circle_preimages", "psi", psi)
     u = (psi - 2.0 * p.theta) / 2.0
     x = math.atan2(p.K * math.sin(u), math.cos(u))
     phi = normalize_angle(p.theta + x)
@@ -84,15 +87,9 @@ def _rescale_period(K: float) -> int:
     return j
 
 
-def _require_finite(fn: str, name: str, x: float) -> None:
-    """Raise InvalidParameter naming x unless it is finite."""
-    if not math.isfinite(x):
-        raise InvalidParameter(f"{fn} needs a finite {name}, got {name}={x!r}")
-
-
 def orbit(p: MapParams, phi: float, n: int) -> list[float]:
     """Forward orbit [phi, H~(phi), ..., H~^n(phi)]."""
-    _require_finite("orbit", "phi", phi)
+    require_finite("orbit", "phi", phi)
     n = require_integer("orbit", "n", n)
     if n < 0:
         raise InvalidParameter(f"orbit needs n >= 0, got n={n}")
@@ -136,7 +133,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     """
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
-    _require_finite("classify_limit", "phi", phi)
+    require_finite("classify_limit", "phi", phi)
     max_iter = require_integer("classify_limit", "max_iter", max_iter)
     if max_iter < 0:
         raise InvalidParameter(f"need max_iter >= 0, got max_iter={max_iter}")
@@ -196,7 +193,7 @@ def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
     cheaper than the division by its conjugate that would keep |z| = 1, so
     every _rescale_period(K) steps z is divided by |z| instead.
     """
-    _require_finite("converged_fraction", "target", target)
+    require_finite("converged_fraction", "target", target)
     n_iter = require_integer("converged_fraction", "n_iter", n_iter)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     w = np.empty_like(z)
@@ -245,7 +242,7 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
 
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
     """All depth-level preimages of phi under the circle map."""
-    _require_finite("backward_tree", "phi", phi)
+    require_finite("backward_tree", "phi", phi)
     depth = require_integer("backward_tree", "depth", depth)
     if depth < 0:
         raise InvalidParameter(f"need depth >= 0, got depth={depth}")

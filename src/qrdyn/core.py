@@ -35,6 +35,12 @@ def require_integer(fn: str, name: str, value) -> int:
                                f"got {name}={value!r}") from None
 
 
+def require_finite(fn: str, name: str, x: float) -> None:
+    """Raise InvalidParameter naming x unless it is finite."""
+    if not math.isfinite(x):
+        raise InvalidParameter(f"{fn} needs a finite {name}, got {name}={x!r}")
+
+
 def circle_dist(a: float, b: float) -> float:
     """Distance between two angles on the circle, always <= pi."""
     return abs(normalize_angle(a - b))
@@ -98,19 +104,14 @@ def eval_H(p: MapParams, z):
 
 def radial_stretch(p: MapParams, phi: float) -> float:
     """The factor alpha(phi) with |H(r e^{i phi})| = alpha r^2."""
+    require_finite("radial_stretch", "phi", phi)
     c = math.cos(phi - p.theta)
     return 1.0 + (p.K * p.K - 1.0) * c * c
 
 
 def arg_h(p: MapParams, phi: float) -> float:
     """Argument of h(r e^{i phi}) for any r > 0 (half the circle map)."""
+    require_finite("arg_h", "phi", phi)
     x = phi - p.theta
     return p.theta + math.atan2(math.sin(x), p.K * math.cos(x))
 
-
-def eval_H_polar(p: MapParams, r: float, phi: float) -> tuple[float, float]:
-    """Polar form of H: (r, phi) -> (alpha r^2, 2 arg_h(phi)) with the
-    branch of the doubled angle continued through phi - theta = +-pi/2."""
-    if r < 0.0:
-        raise InvalidParameter("need r >= 0")
-    return radial_stretch(p, phi) * r * r, normalize_angle(2.0 * arg_h(p, phi))

@@ -63,8 +63,9 @@ def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
     """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
     max_iter = _require_max_iter("classify_point", max_iter)
     labels, counts = np.empty(1, np.uint8), np.empty(1, np.int32)
-    _classify_block(p, np.array([z], dtype=complex), max_iter, labels, counts,
-                    _scratch(1))
+    w = np.array([z], dtype=complex)
+    _classify_block(p, w, max_iter, labels, counts, _scratch(1),
+                    complex(w[0]), 0.0)
     return PointResult(_POINT_CLASSES[labels[0]], int(counts[0]))
 
 
@@ -129,17 +130,66 @@ def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty(size, complex), np.empty(size, complex), np.empty(size)
 
 
+def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
+    """The number q <= max_iter + 1 of leading steps n = 0 .. q-1 at which
+    no point of the disk |w - z| <= rho can reach either certifying radius
+    in floats, so that _classify_block may skip its radius test there.
+
+    z_n is the float orbit of z and rho_n a radius with |w_n - z_n| <= rho_n
+    for the float orbit w_n of every point of the disk.  Step n is quiet
+    when |z_n| - rho_n > r_attract (1 + 1e-9) and |z_n| + rho_n <
+    2 (1 - 1e-9); the margins cover the rounding of |.| and of the sums.
+    A NaN or inf in z_n or rho_n fails the test, so such a step is never
+    certified.  The radius grows as
+
+        rho_{n+1} = (L rho_n + eps (2 |z_{n+1}| + L rho_n)) (1 + 2^-40),
+        L = K (2 |h(z_n)| (1 + eps) + K rho_n),  eps = 8 (K + 4) 2^-53:
+
+    - h is R-linear with norm K, so |h(a) - h(b)| <= K |a - b|;
+    - H(a) - H(b) = (h(a) - h(b)) (h(a) + h(b)), so
+      |H(w_n) - H(z_n)| <= K rho_n (2 |h(z_n)| + K rho_n) = L rho_n, with
+      |h(z_n)| known in floats to within a factor 1 + eps;
+    - a float step is off by less than (2.3 K + 9) 2^-53 relative:
+      mu conj(w) and the square are complex products, each within
+      sqrt(5) 2^-53 relative, c (.) and the add round within 2^-53 each,
+      and the add loses at most a factor (K + 1)/2 of the product's
+      rounding, because |w + mu conj(w)| >= (1 - |mu|) |w|; the steps of
+      w_n and of z_n together are then off by at most
+      eps (|H(z_n)| + |H(w_n)|) <= eps (2 |z_{n+1}| + L rho_n), with eps
+      over three times the bound;
+    - the factor 1 + 2^-40 covers the second-order terms, the rounding of
+      c and mu (h's norm is K to a few ulps) and of this recurrence.
+    """
+    lo = r_attract(p) * (1.0 + 1e-9)
+    hi = R_ESCAPE * (1.0 - 1e-9)
+    K, c, mu = p.K, 0.5 * (p.K + 1.0), p.mu
+    eps = 8.0 * (K + 4.0) * 2.0 ** -53
+    m = abs(z)
+    for n in range(max_iter + 1):
+        if not (m - rho > lo and m + rho < hi):
+            return n
+        h = c * (z + mu * z.conjugate())
+        z = h * h
+        m = abs(z)
+        lr = K * (2.0 * abs(h) * (1.0 + eps) + K * rho) * rho
+        rho = (lr + eps * (2.0 * m + lr)) * (1.0 + 2.0 ** -40)
+    return max_iter + 1
+
+
 def _classify_block(p: MapParams, w: np.ndarray, max_iter: int,
-                    labels: np.ndarray, counts: np.ndarray, scratch) -> None:
+                    labels: np.ndarray, counts: np.ndarray, scratch,
+                    z: complex, rho: float) -> None:
     """Escaping (label 1) / attracted-to-0 (2) / undecided (0) for each
     point of the flat complex array w, written into the flat labels and
     counts of its size, with the first iterate past the certifying radius
     (max_iter for the undecided).
 
-    w is overwritten and scratch is _scratch(n) for some n >= w.size.  Only
-    the still-active pixels are iterated: a prefix of w holds their orbits
-    and `idx` their positions, both compacted on every step that decides
-    one.
+    Every point of w lies in the disk |w - z| <= rho, and the radius test
+    is skipped at the _quiet_steps leading steps, at which it cannot decide
+    any of them.  w is overwritten and scratch is _scratch(n) for some
+    n >= w.size.  Only the still-active pixels are iterated: a prefix of w
+    holds their orbits and `idx` their positions, both compacted on every
+    step that decides one.
     """
     ra = r_attract(p)
     c, mu = 0.5 * (p.K + 1.0), p.mu
@@ -147,21 +197,23 @@ def _classify_block(p: MapParams, w: np.ndarray, max_iter: int,
     labels.fill(0)
     counts.fill(max_iter)
     idx = np.arange(w.size)
+    quiet = _quiet_steps(p, z, rho, max_iter)
     for n in range(max_iter + 1):
-        mk = np.abs(w, out=m[:w.size])
-        esc = mk > R_ESCAPE
-        att = mk < ra
-        done = esc | att
-        if done.any():
-            labels[idx[esc]] = 1
-            labels[idx[att]] = 2
-            counts[idx[done]] = n
-            active = ~done
-            idx = idx[active]
-            if not idx.size:
-                break
-            w[:idx.size] = w[active]
-            w = w[:idx.size]
+        if n >= quiet:
+            mk = np.abs(w, out=m[:w.size])
+            esc = mk > R_ESCAPE
+            att = mk < ra
+            done = esc | att
+            if done.any():
+                labels[idx[esc]] = 1
+                labels[idx[att]] = 2
+                counts[idx[done]] = n
+                active = ~done
+                idx = idx[active]
+                if not idx.size:
+                    break
+                w[:idx.size] = w[active]
+                w = w[:idx.size]
         if n == max_iter:
             break
         # w <- (c (w + mu conj(w)))^2 with eval_H's operations in eval_H's
@@ -209,12 +261,20 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     counts = np.empty((ny, nx), dtype=np.int32)
     size = nx * max(1, BLOCK_PIXELS // nx)  # pixels of the largest block
     w, scratch = np.empty(size, complex), _scratch(size)
+    x0, x1 = float(xs[0]), float(xs[-1])
     for rows in _row_blocks(nx, ny):
-        lab = labels[rows]
+        lab, yb = labels[rows], ys[rows]
         wb = w[:lab.size]
-        np.add(xs[None, :], 1j * ys[rows, None], out=wb.reshape(lab.shape))
+        np.add(xs[None, :], 1j * yb[:, None], out=wb.reshape(lab.shape))
+        # each pixel is exactly xs[i] + 1j ys[j], inside the rectangle of
+        # the block's corners, so within its half-diagonal of its centre z;
+        # rounding moves z by less than 2^-53 |z| in each part
+        y0, y1 = float(yb[0]), float(yb[-1])
+        z = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+        rho = (math.hypot((x1 - x0) / 2.0, (y1 - y0) / 2.0) * (1.0 + 1e-12)
+               + 4.0 * 2.0 ** -53 * abs(z))
         _classify_block(p, wb, max_iter, lab.reshape(-1),
-                        counts[rows].reshape(-1), scratch)
+                        counts[rows].reshape(-1), scratch, z, rho)
     return PlaneGrid(window=window, resolution=(nx, ny), labels=labels,
                      counts=counts, max_iter=max_iter)
 

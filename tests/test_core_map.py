@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from qrdyn import blaschke, circle, mobius, plane, rays
-from qrdyn.core import (arg_h, circle_dist, eval_h, eval_H, eval_H_polar,
-                        make_params, normalize_angle, params_of_mu,
-                        radial_stretch)
+from qrdyn.core import (arg_h, circle_dist, eval_h, eval_H, make_params,
+                        normalize_angle, params_of_mu, radial_stretch)
 from qrdyn.errors import InvalidParameter
+
+
+def eval_H_polar(p, r, phi):
+    """Polar form of H: (r, phi) -> (alpha r^2, 2 arg_h(phi)) with the
+    branch of the doubled angle continued through phi - theta = +-pi/2; the
+    reference that checks eval_H against the radial stretch and arg_h."""
+    if r < 0.0:
+        raise InvalidParameter("need r >= 0")
+    return radial_stretch(p, phi) * r * r, normalize_angle(2.0 * arg_h(p, phi))
 
 
 def test_make_params_rejects_bad_K():
@@ -131,3 +139,26 @@ def test_non_integer_loop_counts_raise_invalid_parameter(fn_name, value):
                                        f"got {name}={value!r}")):
         LOOP_COUNTS[fn_name](value)
     LOOP_COUNTS[fn_name](np.int64(2))  # numpy integers are integers
+
+
+# each scalar angle primitive, with the name of its angle
+ANGLE_PRIMITIVES = {
+    "arg_h": (arg_h, "phi"),
+    "radial_stretch": (radial_stretch, "phi"),
+    "circle_map": (circle.circle_map, "phi"),
+    "circle_map_deriv": (circle.circle_map_deriv, "phi"),
+    "circle_preimages": (circle.circle_preimages, "psi"),
+}
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fn_name", sorted(ANGLE_PRIMITIVES))
+def test_non_finite_angles_raise_invalid_parameter(fn_name, angle):
+    # one shared finiteness check: math.cos raised a bare ValueError for
+    # +-inf, and nan came back as nan
+    fn, name = ANGLE_PRIMITIVES[fn_name]
+    with pytest.raises(InvalidParameter,
+                       match=re.escape(f"{fn_name} needs a finite {name}, "
+                                       f"got {name}={angle!r}")):
+        fn(P, angle)
+    assert all(map(math.isfinite, np.atleast_1d(fn(P, 0.5))))

@@ -42,19 +42,26 @@ arithmetic that changed:
 - render_grid steps eval_H's operations, in eval_H's operand order, on
   buffers allocated once per render instead of on fresh temporaries, and
   writes labels and counts straight into the grid: the same labels and
-  counts, bit for bit.
+  counts, bit for bit;
+- render_grid skips the radius test at the leading steps that
+  plane._quiet_steps certifies for a disk holding the block: the same
+  labels and counts, bit for bit, and no certified step at or past the
+  block's first decision in the reference.
 """
 
 import cmath
 import dataclasses
+import functools
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qrdyn.blaschke import julia_sample
-from qrdyn import circle
+from qrdyn import circle, plane
 from qrdyn.circle import (DEDUP_TOL, LIMIT_TOL, LimitOutcome, LimitReport,
                           _dedup_sorted, backward_tree, circle_map,
                           circle_map_deriv, circle_preimages, classify_limit,
@@ -73,6 +80,10 @@ from qrdyn.rays import (FixedRay, Regime, RegimeReport, Stability,
                         _fixed_rays, cubic_coeffs, fixed_rays, k_theta,
                         theta_of_K, trace_sq_of_angle)
 from quartic_oracle import exact_regime
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
 
 
 # ------------------------------------------------------------- references
@@ -249,6 +260,18 @@ def ref_render_labels_counts(p, window, resolution, max_iter):
         z = xs[None, :] + 1j * ys[rows, None]
         labels[rows], counts[rows] = ref_classify_block(p, z, max_iter)
     return labels, counts
+
+
+def ref_first_decisions(labels, counts, max_iter):
+    """The first step at which each of render_grid's blocks decides a
+    pixel, max_iter + 1 for a block that decides none."""
+    ny, nx = labels.shape
+    step = max(1, BLOCK_PIXELS // nx)
+    out = []
+    for i in range(0, ny, step):
+        decided = counts[i:i + step][labels[i:i + step] != 0]
+        out.append(int(decided.min()) if decided.size else max_iter + 1)
+    return out
 
 
 def ref_grid_to_rgb(grid):
@@ -529,6 +552,58 @@ def kernel_renders():
 KERNEL_RENDERS = kernel_renders()
 
 
+def radius_windows():
+    """render_grid calls, as (p, window, resolution, max_iter), that press
+    on _quiet_steps' margins, on one pixel, one row and one column:
+
+    - windows of half-width 1e-15 to 1e-3 centred within 1e-12 to 1e-6
+      relative of |z| = 2 or |z| = r_attract, at K from 1 + 1e-6 to 1e15
+      and theta near 0 and +-pi/2;
+    - at theta = 0, where H(x) = K^2 x^2 on the positive real axis and the
+      bound on |H(w) - H(z)| is attained by real w and z, windows of
+      half-width 1e-15 to 1e-3 relative, centred on the radial fixed point
+      1/K^2 or with an edge within 1e-12 to 1e-6 relative of a preimage of
+      depth 1 to 4 of either radius."""
+    rng = random.Random(93)
+    out = []
+    shapes = ((1, 1), (1, 257), (257, 1))
+    for K in (1.0 + 1e-6, 2.0, 30.0, 1e3, 1e6, 1e15):
+        for theta in (0.0, 1e-9, -1e-9, math.pi / 2, 1e-9 - math.pi / 2):
+            p = make_params(K, theta)
+            for radius in (R_ESCAPE, r_attract(p)):
+                for resolution in shapes:
+                    for _ in range(3):
+                        r = radius * (1.0 + rng.choice((-1.0, 1.0))
+                                      * 10 ** rng.uniform(-12.0, -6.0))
+                        phi = rng.choice((0.0, math.pi / 2, theta,
+                                          rng.uniform(-math.pi, math.pi)))
+                        hw = 10 ** rng.uniform(-15.0, -3.0)
+                        out.append((p, Window(cmath.rect(r, phi), 2.0 * hw, 2.0 * hw),
+                                    resolution, 30))
+        p = make_params(K, 0.0)
+        fixed = 1.0 / (K * K)
+        for resolution in shapes:
+            for _ in range(3):
+                hw = fixed * 10 ** rng.uniform(-15.0, -3.0)
+                out.append((p, Window(complex(fixed, 0.0), 2.0 * hw, 2.0 * hw),
+                            resolution, 80))
+        for x in (R_ESCAPE, r_attract(p)):
+            for _ in range(4):
+                x = math.sqrt(x) / K  # H(x) = K^2 x^2
+                for resolution in shapes:
+                    for _ in range(3):
+                        hw = x * 10 ** rng.uniform(-15.0, -3.0)
+                        edge = x * (1.0 + rng.choice((-1.0, 1.0))
+                                    * 10 ** rng.uniform(-12.0, -6.0))
+                        c = edge + rng.choice((-1.0, 1.0)) * hw
+                        out.append((p, Window(complex(c, 0.0), 2.0 * hw, 2.0 * hw),
+                                    resolution, 80))
+    return out
+
+
+RADIUS_WINDOWS = radius_windows()
+
+
 # ------------------------------------------------------------------ tests
 
 def test_converged_fraction_equals_reference_on_survey_grids():
@@ -775,13 +850,43 @@ def test_write_ppm_bytes_equal_whole_image_reference(tmp_path, name):
                                 + ref_grid_to_rgb(g).tobytes())
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_RENDERS))
-def test_render_grid_bit_identical_to_reference(name):
-    p, window, resolution, max_iter = KERNEL_RENDERS[name]
-    g = render_grid(p, window, resolution, max_iter)
+def certified_render(p, window, resolution, max_iter):
+    """render_grid's grid and the horizon _quiet_steps gave each block, after
+    asserting that the grid equals the reference bit for bit and that no
+    horizon passes its block's first decision there."""
+    horizons = []
+    quiet_steps = plane._quiet_steps
+
+    def record(*args):
+        horizons.append(quiet_steps(*args))
+        return horizons[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plane, "_quiet_steps", record)
+        g = render_grid(p, window, resolution, max_iter)
     labels, counts = ref_render_labels_counts(p, window, resolution, max_iter)
     assert np.array_equal(g.labels, labels)
     assert np.array_equal(g.counts, counts)
+    decisions = ref_first_decisions(labels, counts, max_iter)
+    assert len(horizons) == len(decisions)
+    assert all(q <= d for q, d in zip(horizons, decisions)), (horizons, decisions)
+    return g, horizons
+
+
+def certified_steps(g, horizons):
+    """(radius tests the uncertified kernel makes, those the horizons skip):
+    a pixel of count n is tested at steps 0 .. n."""
+    ny, nx = g.labels.shape
+    step = max(1, BLOCK_PIXELS // nx)
+    sizes = [nx * min(step, ny - i) for i in range(0, ny, step)]
+    tests = int(g.counts.sum(dtype=np.int64)) + g.counts.size
+    return tests, sum(q * size for q, size in zip(horizons, sizes))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RENDERS))
+def test_render_grid_bit_identical_to_reference(name):
+    p, window, resolution, max_iter = KERNEL_RENDERS[name]
+    certified_render(p, window, resolution, max_iter)
 
 
 def test_render_grid_bit_identical_on_one_pixel_at_fixed_points():
@@ -790,7 +895,97 @@ def test_render_grid_bit_identical_on_one_pixel_at_fixed_points():
     rng = random.Random(92)
     for _ in range(100):
         p = benchmark_like_params(rng)
-        window = Window(repelling_point(p, rng), 1.0, 1.0)
-        g = render_grid(p, window, 1, 200)
-        labels, counts = ref_render_labels_counts(p, window, (1, 1), 200)
-        assert (g.labels[0, 0], g.counts[0, 0]) == (labels[0, 0], counts[0, 0]), p
+        certified_render(p, Window(repelling_point(p, rng), 1.0, 1.0), (1, 1), 200)
+
+
+def test_certificate_sound_on_radius_windows():
+    certified = 0
+    for p, window, resolution, max_iter in RADIUS_WINDOWS:
+        g, horizons = certified_render(p, window, resolution, max_iter)
+        certified += certified_steps(g, horizons)[1] > 0
+    assert certified >= len(RADIUS_WINDOWS) // 4
+
+
+def ref_decision(p, z, max_iter):
+    """The first step at which z's orbit passes a certifying radius,
+    max_iter + 1 if it passes none."""
+    r = ref_classify_point(p, z, max_iter)
+    return max_iter + 1 if r.label is PointClass.UNDECIDED else r.n
+
+
+def test_quiet_steps_hold_points_a_rounding_from_a_decision():
+    # on the fixed ray of theta = 0 the float step is increasing, so the
+    # first decision step of x is monotone on each side of the fixed point
+    # 1/K^2; bisect for the float w nearest the fixed point that decides by
+    # step d, whose orbit crosses a radius at step d by about a rounding,
+    # and centre a disk of exact radius on a float 1 to 4 ulps nearer
+    rng = random.Random(94)
+    for _ in range(150):
+        K = rng.choice((1.0 + 1e-6, 10 ** rng.uniform(0.0, 3.0)))
+        p = make_params(K, 0.0)
+        max_iter = 200
+        near = 1.0 / (K * K)
+        far = near * (1.0 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-14.0, -8.0))
+        d = ref_decision(p, far, max_iter)
+        while (mid := (near + far) / 2.0) not in (near, far):
+            if ref_decision(p, mid, max_iter) <= d:
+                far = mid
+            else:
+                near = mid
+        z = far
+        for _ in range(rng.randint(1, 4)):
+            z = math.nextafter(z, near)
+        q = plane._quiet_steps(p, complex(z), abs(far - z), max_iter)
+        assert q <= ref_decision(p, far, max_iter), (p, far, z)
+
+
+def test_quiet_steps_hold_points_far_from_the_centre():
+    # on the fixed ray of theta = 0, where the bound on |H(w) - H(z)| is
+    # attained, a float w within 1e-6 relative of a preimage of either
+    # radius and a centre z up to 1e-2 relative away, at the exact radius
+    rng = random.Random(95)
+    for _ in range(3000):
+        K = rng.choice((1.0 + 1e-6, 10 ** rng.uniform(0.0, 3.0)))
+        p = make_params(K, 0.0)
+        x = rng.choice((R_ESCAPE, r_attract(p)))
+        for _ in range(rng.randint(1, 3)):
+            x = math.sqrt(x) / K  # H(x) = K^2 x^2
+        w = x * (1.0 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-12.0, -6.0))
+        z = w + rng.choice((-1.0, 1.0)) * x * 10 ** rng.uniform(-15.0, -2.0)
+        q = plane._quiet_steps(p, complex(z), abs(w - z), 80)  # exact radius
+        assert q <= min(ref_decision(p, w, 80), ref_decision(p, z, 80)), (p, w, z)
+
+
+@functools.lru_cache(maxsize=1)
+def zoom_catalogue_steps():
+    """(radius tests, certified tests) summed over the render-zoom
+    catalogue, each entry checked by certified_render."""
+    tests = certified = 0
+    for job in workloads.zoom_catalogue():
+        g, horizons = certified_render(
+            make_params(job["K"], job["theta"]), Window.from_bounds(*job["window"]),
+            (job["res"], job["res"]), job["max_iter"])
+        t, c = certified_steps(g, horizons)
+        tests, certified = tests + t, certified + c
+    return tests, certified
+
+
+def test_certificate_sound_on_the_zoom_catalogue():
+    assert zoom_catalogue_steps()[0] > 0
+
+
+def test_certificate_covers_most_zoom_steps():
+    # 75.0% (31.32M of 41.77M tests), where testing only from each block's
+    # first decision would skip 89.1%
+    tests, certified = zoom_catalogue_steps()
+    assert certified >= 0.70 * tests
+
+
+def test_certificate_idle_on_whole_set_windows():
+    # a window holding the whole set reaches both radii at step 0, so
+    # render-wide pays one scalar test per block
+    names = [name for name in KERNEL_RENDERS if name.startswith("whole-")]
+    assert names
+    for name in names:
+        _, horizons = certified_render(*KERNEL_RENDERS[name])
+        assert horizons and set(horizons) == {0}, name

@@ -254,12 +254,13 @@ def test_render_golden_digests(tmp_path, case, ppm_sha, stats_sha):
 
 
 def classify_block(p, z, max_iter):
-    """_classify_block on fresh arrays of z's shape: (labels, counts)."""
+    """_classify_block on fresh arrays of z's shape: (labels, counts).  Its
+    disk, of infinite radius, holds every point and certifies no step."""
     labels = np.empty(z.shape, dtype=np.uint8)
     counts = np.empty(z.shape, dtype=np.int32)
     w = np.array(z, dtype=complex).ravel()
     _classify_block(p, w, max_iter, labels.reshape(-1), counts.reshape(-1),
-                    _scratch(w.size))
+                    _scratch(w.size), 0j, math.inf)
     return labels, counts
 
 
