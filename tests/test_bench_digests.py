@@ -2,10 +2,11 @@
 
 `bench/digests.json` holds the sha256 of the PPM and stats JSON of every
 render catalogue entry of `bench/workloads.py`; the benchmark counts a job
-whose output differs from its digest as failed.  Re-rendering the entries
-of side <= 256 here (108 of 121, about a second) makes a change that moves
-one bit of a render fail the tests, not only the benchmark.  Neither file
-is written.
+whose output differs from its digest as failed.  Re-rendering all 121
+entries here (under a second) makes a change that moves one bit of a render
+fail the tests, not only the benchmark; the render-wide entries of side
+384 to 1024 are the ones of many row blocks (64 blocks of 16 rows at
+1024^2).  Neither file is written.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ sys.path.insert(0, str(BENCH))
 
 import workloads as W  # noqa: E402
 
-MAX_SIDE = 256
+MAX_SIDE = 1024
 DIGESTS = json.loads((BENCH / "digests.json").read_text())
 CATALOGUES = {"render-wide": W.wide_catalogue(), "render-zoom": W.zoom_catalogue()}
 

@@ -244,17 +244,23 @@ def ref_classify_block(p, z, max_iter):
     return labels.reshape(z.shape), counts.reshape(z.shape)
 
 
+# Pixels of ref_render_labels_counts' blocks.  Its eval_H makes temporaries,
+# and numpy 2.4 reuses a temporary of 16384 or more complex128 elements in
+# place, where it rounds mu * conj(w) differently; the kernel makes none,
+# so its blocks may be larger.
+REF_BLOCK_PIXELS = 8192
+
+
 def ref_render_labels_counts(p, window, resolution, max_iter):
     """render_grid's labels and counts from ref_classify_block, on blocks
-    of whole rows of at most BLOCK_PIXELS pixels (larger blocks let numpy
-    reuse temporaries in place, which changes bits)."""
+    of whole rows of at most REF_BLOCK_PIXELS pixels."""
     nx, ny = resolution
     xs = window.center.real + window.width * ((np.arange(nx) + 0.5) / nx - 0.5)
     ys = window.center.imag + window.height * ((np.arange(ny) + 0.5) / ny - 0.5)
     ys = ys[::-1]
     labels = np.empty((ny, nx), dtype=np.uint8)
     counts = np.empty((ny, nx), dtype=np.int32)
-    step = max(1, BLOCK_PIXELS // nx)
+    step = max(1, REF_BLOCK_PIXELS // nx)
     for i in range(0, ny, step):
         rows = slice(i, i + step)
         z = xs[None, :] + 1j * ys[rows, None]
@@ -265,11 +271,9 @@ def ref_render_labels_counts(p, window, resolution, max_iter):
 def ref_first_decisions(labels, counts, max_iter):
     """The first step at which each of render_grid's blocks decides a
     pixel, max_iter + 1 for a block that decides none."""
-    ny, nx = labels.shape
-    step = max(1, BLOCK_PIXELS // nx)
     out = []
-    for i in range(0, ny, step):
-        decided = counts[i:i + step][labels[i:i + step] != 0]
+    for rows in plane._row_blocks(labels.shape[1], labels.shape[0]):
+        decided = counts[rows][labels[rows] != 0]
         out.append(int(decided.min()) if decided.size else max_iter + 1)
     return out
 
@@ -481,12 +485,13 @@ def block_edge_grids():
                          max_iter=max_iter)
 
     wide = grid((3, BLOCK_PIXELS + 808), 150)
-    ragged = grid((83, 100), 150)
-    last = grid((83, 100), 20)
+    # two blocks of 100-pixel rows, the last one row shorter
+    ragged = grid((BLOCK_PIXELS // 100 + 2, 100), 150)
+    last = grid((BLOCK_PIXELS // 100 + 2, 100), 20)
     last.labels[-1, -1], last.counts[-1, -1] = 1, 180
     return {
         "one-row-blocks": wide,           # nx > BLOCK_PIXELS: one row a block
-        "ragged-last-block": ragged,      # 81 + 2 rows
+        "ragged-last-block": ragged,      # 83 + 82 rows
         "largest-count-last": last,       # the palette is sized by the last block
         "all-zero-counts": grid((200, 64), 0),
         "one-pixel": grid((1, 1), 5, max_iter=7),
@@ -539,7 +544,8 @@ def kernel_renders():
     zoom = Window(repelling_point(p, rng), 1e-9, 1e-9)
     out["one-row"] = (p, zoom, (MAX_RESOLUTION, 1), 60)
     out["one-column"] = (p, zoom, (1, MAX_RESOLUTION), 60)
-    out["ragged-blocks"] = (p, zoom, (100, 83), 60)  # 81 + 2 rows
+    # 83 + 82 rows, and 81 + 81 + 3 in ref_render_labels_counts
+    out["ragged-blocks"] = (p, zoom, (100, BLOCK_PIXELS // 100 + 2), 60)
     # the centre pixel sits on the radial fixed point 1/4 of (2, 0) and never
     # decides; the others leave it from 1e-300 away
     out["fixed-point-iter3000"] = (make_params(2.0, 0.0),
@@ -876,9 +882,8 @@ def certified_render(p, window, resolution, max_iter):
 def certified_steps(g, horizons):
     """(radius tests the uncertified kernel makes, those the horizons skip):
     a pixel of count n is tested at steps 0 .. n."""
-    ny, nx = g.labels.shape
-    step = max(1, BLOCK_PIXELS // nx)
-    sizes = [nx * min(step, ny - i) for i in range(0, ny, step)]
+    sizes = [g.labels[rows].size
+             for rows in plane._row_blocks(g.labels.shape[1], g.labels.shape[0])]
     tests = int(g.counts.sum(dtype=np.int64)) + g.counts.size
     return tests, sum(q * size for q, size in zip(horizons, sizes))
 

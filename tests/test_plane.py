@@ -5,18 +5,26 @@ import math
 import os
 import random
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrdyn.core import arg_h, eval_H, make_params, radial_stretch
+from qrdyn import plane
+from qrdyn.core import (MapParams, arg_h, circle_dist, eval_H, make_params,
+                        radial_stretch)
 from qrdyn.errors import InvalidParameter, ResourceLimit
-from qrdyn.plane import (PlaneGrid, PointClass, R_ESCAPE, Window,
-                         _classify_block, _rewrite, _scratch, classify_point,
-                         r_attract, radial_fixed_point, render_grid, write_ppm,
-                         write_stats)
+from qrdyn.plane import (MAX_RESOLUTION, PlaneGrid, PointClass, R_ESCAPE, Window,
+                         _classify_block, _palette, _rewrite, _scratch,
+                         classify_point, r_attract, radial_fixed_point,
+                         render_grid, write_ppm, write_stats)
 from qrdyn.rays import fixed_rays, k_theta
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
 
 
 def test_thresholds_are_absorbing():
@@ -212,10 +220,12 @@ def test_window_from_bounds_validation():
 
 
 # A 128x128 deep-zoom window (half-width 1.2e-14) straddling the escape/basin
-# boundary at a repelling radial fixed point.  numpy 2.4 rounds the last bit
-# of `mu * conj(w)` differently on 16384 or more complex128 elements, where it
-# reuses temporaries in place; 329 pixels of this window change when the whole
-# grid is classified as one block.
+# boundary at a repelling radial fixed point, where pixels a few ulps apart
+# follow the rounding of each step, so a change to one pixel's arithmetic
+# changes labels.  eval_H on 16384 or more complex128 elements rounds the last
+# bit of `mu * conj(w)` differently (numpy 2.4 reuses its temporaries in
+# place); the kernel makes no temporaries, so no block layout changes a pixel
+# (test_render_is_independent_of_the_block_layout).
 ZOOM = (2.8100058980732268, 0.4202149038131058,
         (0.40743453970116605, 0.4074345397011908,
          -0.4570356957848027, -0.45703569578477793), (128, 128), 77)
@@ -233,7 +243,7 @@ GOLDEN = [
     (ZOOM,
      "ebdc8f4afd8cfdeb79f213dcfbe314d5e153092c861a971eacf81a9083d03d37",
      "9768da7d82dbdc2c2d6e20348580e4cbc394773819205902945c8450994cff85"),
-    # rows of the widest side, so each block is one row
+    # rows of the widest side: blocks of 2 + 1 rows
     ((4.0, 0.3, (-1.5, 1.5, -0.01, 0.01), (8192, 3), 10),
      "ccabc2b40e367b7e1d7dca8c1f52d401f49b42c1280daa785363aef3de0e8f78",
      "ee9d9dbdfca002d82235b10258eb8b1f7a9498c54c336e359e71bb601573c1d9"),
@@ -243,14 +253,22 @@ GOLDEN = [
 @pytest.mark.parametrize("case,ppm_sha,stats_sha", GOLDEN,
                          ids=["unit-disk", "off-centre", "deep-zoom", "wide"])
 def test_render_golden_digests(tmp_path, case, ppm_sha, stats_sha):
+    _, _, ppm, stats = render_outputs(case, tmp_path)
+    assert hashlib.sha256(ppm).hexdigest() == ppm_sha
+    assert hashlib.sha256(stats).hexdigest() == stats_sha
+
+
+def render_outputs(case, path):
+    """(labels, counts, PPM bytes, stats bytes) of a (K, theta, bounds,
+    resolution, max_iter) case."""
     K, theta, bounds, res, max_iter = case
     p = make_params(K, theta)
     g = render_grid(p, Window.from_bounds(*bounds), res, max_iter)
-    ppm, stats = tmp_path / "out.ppm", tmp_path / "out.json"
+    ppm, stats = path / "out.ppm", path / "out.json"
     write_ppm(g, str(ppm))
     write_stats(g, p, str(stats))
-    assert hashlib.sha256(ppm.read_bytes()).hexdigest() == ppm_sha
-    assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_sha
+    return (g.labels.tobytes(), g.counts.tobytes(), ppm.read_bytes(),
+            stats.read_bytes())
 
 
 def classify_block(p, z, max_iter):
@@ -277,6 +295,127 @@ def test_render_grid_matches_row_by_row_kernel():
         labels, counts = classify_block(p, xs + 1j * y, max_iter)
         assert np.array_equal(g.labels[i], labels), f"row {i}"
         assert np.array_equal(g.counts[i], counts), f"row {i}"
+
+
+BLOCK_LAYOUT_CASES = {
+    "deep-zoom": ZOOM,
+    "off-centre": GOLDEN[1][0],
+    "one-column": ZOOM[:3] + ((1, 2000), ZOOM[4]),
+    "one-row": ZOOM[:3] + ((MAX_RESOLUTION, 1), ZOOM[4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_LAYOUT_CASES))
+def test_render_is_independent_of_the_block_layout(tmp_path, monkeypatch, name):
+    # one row a block, the earlier and the current block size, and the whole
+    # grid as one block give the same labels, counts and output bytes
+    case = BLOCK_LAYOUT_CASES[name]
+    nx, ny = case[3]
+    outputs = {}
+    for block_pixels in (nx, 8192, 16384, nx * ny):
+        monkeypatch.setattr(plane, "BLOCK_PIXELS", block_pixels)
+        outputs[block_pixels] = render_outputs(case, tmp_path)
+    first = outputs[nx]
+    assert all(out == first for out in outputs.values()), \
+        [b for b, out in outputs.items() if out != first]
+
+
+@pytest.mark.parametrize("block_pixels", [1, 7, 96, 8192, 16384, 16385, 1 << 26])
+def test_row_blocks_are_the_fewest_even_blocks(monkeypatch, block_pixels):
+    monkeypatch.setattr(plane, "BLOCK_PIXELS", block_pixels)
+    rng = random.Random(96)
+    shapes = [(1, 1), (1, MAX_RESOLUTION), (MAX_RESOLUTION, 1), (96, 96),
+              (128, 128), (160, 160), (192, 192), (100, 165), (384, 384),
+              (1024, 1024), (8192, 3), (3, 17)]
+    shapes += [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(40)]
+    for nx, ny in shapes:
+        rows = [range(ny)[s] for s in plane._row_blocks(nx, ny)]
+        assert [i for r in rows for i in r] == list(range(ny)), (nx, ny)
+        assert len(rows) == -(-ny // max(1, block_pixels // nx)), (nx, ny)
+        assert all(nx * len(r) <= max(block_pixels, nx) for r in rows), (nx, ny)
+        height = -(-ny // len(rows))
+        assert all(len(r) == height for r in rows[:-1]), (nx, ny)
+        assert 0 < len(rows[-1]) <= height, (nx, ny)
+
+
+def mirror(p):
+    """H_{K,-theta}, whose value at conj z is conj H_{K,theta}(z) in floats
+    too.  Built directly, as make_params(K, -theta) may change the low bits
+    of a negative theta."""
+    return MapParams(K=p.K, theta=-p.theta, mu=p.mu.conjugate())
+
+
+@pytest.mark.parametrize("catalogue", ["wide", "zoom"])
+def test_mirrored_render_is_the_row_flipped_render(catalogue):
+    # conjugation and negation are exact, so the mirrored window under the
+    # mirrored map gives the row-flipped labels and counts; a row flip moves
+    # pixels across block edges, so this also pins block independence
+    jobs = getattr(workloads, f"{catalogue}_catalogue")()
+    assert jobs
+    for job in jobs:
+        p = make_params(job["K"], job["theta"])
+        xmin, xmax, ymin, ymax = job["window"]
+        res, max_iter = job["res"], job["max_iter"]
+        g = render_grid(p, Window.from_bounds(xmin, xmax, ymin, ymax), res, max_iter)
+        m = render_grid(mirror(p), Window.from_bounds(xmin, xmax, -ymax, -ymin),
+                        res, max_iter)
+        key = workloads.render_key(job)
+        assert np.array_equal(m.labels, g.labels[::-1]), key
+        assert np.array_equal(m.counts, g.counts[::-1]), key
+
+
+def seeded_maps(rng, n):
+    """Maps in all four regimes: fixed ones and n seeded ones."""
+    maps = [make_params(1.5, 0.3), make_params(2.0, 0.0),
+            make_params(k_theta(0.5), 0.5), make_params(4.0, 0.1)]
+    maps += [make_params(1.0 + 10 ** rng.uniform(-1.5, 1.5),
+                         rng.uniform(-math.pi / 2, math.pi / 2))
+             for _ in range(n)]
+    assert len({fixed_rays(p).regime for p in maps}) == 4
+    return maps
+
+
+def boundary_points(p, rng):
+    """Seeded points, some within 1e-12 of the radial fixed points and of
+    both certifying radii."""
+    points = [10 ** rng.uniform(-3, 0.5)
+              * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+              for _ in range(60)]
+    for ray in fixed_rays(p).rays:
+        r = radial_fixed_point(p, ray.angle)
+        points += [(r + rng.uniform(-1e-12, 1e-12)) * cmath.exp(1j * ray.angle)
+                   for _ in range(10)]
+    for rad in (R_ESCAPE, r_attract(p)):
+        points += [rad * (1.0 + rng.uniform(-1e-12, 1e-12))
+                   * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                   for _ in range(10)]
+    return points
+
+
+def test_classify_point_is_exactly_mirrored():
+    rng = random.Random(97)
+    for p in seeded_maps(rng, 8):
+        q = mirror(p)
+        for z in boundary_points(p, rng):
+            assert classify_point(q, z.conjugate(), 300) == \
+                classify_point(p, z, 300), (p, z)
+
+
+def test_fixed_rays_mirror():
+    # the same regime, with every angle negated to within 1e-15
+    rng = random.Random(98)
+    maps = seeded_maps(rng, 600)
+    # near the bifurcation, on both sides of K_theta = K_{-theta}
+    for _ in range(100):
+        t = rng.uniform(0.0, 1.5)
+        maps.append(make_params(k_theta(t) * (1.0 + rng.uniform(-1e-9, 1e-9)),
+                                rng.choice((-t, t))))
+    for p in maps:
+        a, b = fixed_rays(p), fixed_rays(mirror(p))
+        assert b.regime is a.regime, p
+        assert len(b.rays) == len(a.rays), p
+        for ray in a.rays:
+            assert min(circle_dist(r.angle, -ray.angle) for r in b.rays) <= 1e-15, p
 
 
 def test_classify_block_keeps_shape():
@@ -339,7 +478,21 @@ def ppm_pixels(grid, path):
     return np.frombuffer(data[len(header):], dtype=np.uint8).reshape(ny, nx, 3)
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 7, 50, 100, 200, 999])
+PALETTE_MAX_ITERS = [1, 2, 7, 22, 50, 77, 100, 200, 999, 3000]
+
+
+@pytest.mark.parametrize("max_iter", PALETTE_MAX_ITERS)
+def test_palette_equals_masked_hsv_colouring_for_every_size(max_iter):
+    # the palette's rows, for each largest count c, are the colours the
+    # masked per-pixel colouring gives the counts 0 .. c of each label,
+    # bit for bit: numpy may round an array of one length differently
+    for c in range(min(max_iter, 300) + 1):
+        labels, counts = np.meshgrid(np.arange(3), np.arange(c + 1), indexing="ij")
+        want = masked_hsv_rgb(_synthetic_grid(labels, counts, max_iter))
+        assert np.array_equal(_palette(max_iter, c), want.reshape(-1, 3)), c
+
+
+@pytest.mark.parametrize("max_iter", PALETTE_MAX_ITERS)
 def test_palette_matches_masked_hsv_colouring(tmp_path, max_iter):
     out = tmp_path / "out.ppm"
     # every (label, count) pair, in order and shuffled
@@ -452,24 +605,6 @@ def test_classify_point_is_exactly_even():
     # and the count, near the repelling radial fixed points and both
     # certifying radii too, where a rounding difference would show
     rng = random.Random(83)
-    maps = [make_params(1.5, 0.3), make_params(2.0, 0.0),
-            make_params(k_theta(0.5), 0.5), make_params(4.0, 0.1)]
-    maps += [make_params(1.0 + 10 ** rng.uniform(-1.5, 1.5),
-                         rng.uniform(-math.pi / 2, math.pi / 2))
-             for _ in range(8)]
-    regimes = {fixed_rays(p).regime for p in maps}
-    assert len(regimes) == 4
-    for p in maps:
-        points = [10 ** rng.uniform(-3, 0.5)
-                  * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-                  for _ in range(60)]
-        radii = [radial_fixed_point(p, r.angle) for r in fixed_rays(p).rays]
-        for r, phi in zip(radii, (r.angle for r in fixed_rays(p).rays)):
-            points += [(r + rng.uniform(-1e-12, 1e-12)) * cmath.exp(1j * phi)
-                       for _ in range(10)]
-        for rad in (R_ESCAPE, r_attract(p)):
-            points += [rad * (1.0 + rng.uniform(-1e-12, 1e-12))
-                       * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-                       for _ in range(10)]
-        for z in points:
+    for p in seeded_maps(rng, 8):
+        for z in boundary_points(p, rng):
             assert classify_point(p, -z, 300) == classify_point(p, z, 300), z
