@@ -16,8 +16,7 @@ from .circle import (circle_map, circle_map_deriv, circle_preimages, orbit,
 from .rays import (FixedRay, RegimeReport, Regime, Stability, fixed_rays,
                    cubic_coeffs, trace_sq_of_angle, theta_of_K, k_theta,
                    interval_J)
-from .mobius import (DiskMobius, mobius_apply, contraction_k, hyperbolic_dist,
-                     fixed_ray_mobius, dilatation_on_ray, dilatation_chain,
+from .mobius import (contraction_k, dilatation_on_ray, dilatation_chain,
                      dilatation_distance_series, growth_fit, GrowthFit)
 from .blaschke import (BlaschkeMap, blaschke_of_params, blaschke_apply,
                        julia_classification, julia_sample, immediate_basin,

@@ -1,11 +1,10 @@
-"""Disk Mobius maps, the hyperbolic metric, and dilatation growth along orbits.
+"""Dilatation growth along orbits, measured in the hyperbolic disk.
 
-A disk automorphism is stored as the normalized coefficient pair (a, b) for
-w -> (a w + b)/(conj(b) w + conj(a)) with |a|^2 - |b|^2 = 1.  The dilatation
-of H^n is mu pushed through a chain of n - 1 such maps, each applied as the
-unnormalized factor w -> (s w + b)/(conj(b) w + conj(s)) with |s| = 1 and
-b = mu/s; on a fixed ray phi every factor is the one map fixed_ray_mobius,
-whose squared trace is rays.trace_sq_of_angle(K, phi).  A hyperbolic map
+The dilatation of H^n is mu pushed through a chain of n - 1 disk
+automorphisms, each applied as the unnormalized factor
+w -> (s w + b)/(conj(b) w + conj(s)) with |s| = 1 and b = mu/s; on a fixed
+ray phi every factor is the one map with s = e^{-i phi/2}, whose squared
+trace, normalized, is rays.trace_sq_of_angle(K, phi).  A hyperbolic map
 (tr^2 > 4) is conjugate to z -> k z on the half plane with k =
 contraction_k(tr^2) < 1.
 """
@@ -30,50 +29,12 @@ FIT_BURN_IN = 5  # iterates dropped before fitting (the O(1) transient)
 MAX_CHAIN_LEN = 1_000_000
 
 
-@dataclass(frozen=True)
-class DiskMobius:
-    a: complex
-    b: complex
-
-    @staticmethod
-    def from_coeffs(a: complex, b: complex) -> "DiskMobius":
-        d = abs(a) ** 2 - abs(b) ** 2
-        if d <= 0.0:
-            raise InvalidParameter("need |a| > |b| for a disk automorphism")
-        s = math.sqrt(d)
-        return DiskMobius(a / s, b / s)
-
-
-def mobius_apply(m: DiskMobius, w: complex) -> complex:
-    return (m.a * w + m.b) / (m.b.conjugate() * w + m.a.conjugate())
-
-
 def contraction_k(T: float) -> float:
     """Half-plane contraction factor of a hyperbolic map with tr^2 = T; unlike
     (T - 2 - sqrt(T^2 - 4T))/2 this form does not cancel at large T."""
-    if T <= 4.0:
+    if not T > 4.0:
         raise InvalidParameter(f"need tr^2 > 4 for a hyperbolic map, got {T}")
     return 2.0 / (T - 2.0 + math.sqrt(T) * math.sqrt(T - 4.0))
-
-
-def hyperbolic_dist(w1: complex, w2: complex) -> float:
-    """Poincare distance on the unit disk."""
-    if abs(w1) >= 1.0 or abs(w2) >= 1.0:
-        raise InvalidParameter("hyperbolic_dist needs points inside the disk")
-    den = abs(1.0 - w1.conjugate() * w2)
-    rho = abs(w1 - w2) / den
-    # 1 - rho^2 = (1-|w1|^2)(1-|w2|^2)/den^2, stable near the boundary
-    log_one_minus_rho_sq = (math.log1p(-abs(w1) ** 2)
-                            + math.log1p(-abs(w2) ** 2)
-                            - 2.0 * math.log(den))
-    return 2.0 * math.log1p(rho) - log_one_minus_rho_sq
-
-
-def fixed_ray_mobius(p: MapParams, phi: float) -> DiskMobius:
-    """The Mobius map pushing the dilatation forward along the fixed ray phi."""
-    require_fixed_angle(p, phi)
-    half = cmath.exp(-0.5j * phi)
-    return DiskMobius.from_coeffs(half, p.mu / half)
 
 
 # the most recent walk from a complex start: (p, phi0, phases, g) with phi0
@@ -145,7 +106,7 @@ def _fold(mu: complex, phases: list[complex]) -> complex:
 
 def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
     """Complex dilatation of H^n on the fixed ray phi: A^{n-1}(mu) with
-    A = fixed_ray_mobius(p, phi)."""
+    A the factor of s = e^{-i phi/2}."""
     n = require_integer("dilatation_on_ray", "n", n)
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got n={n}")
@@ -192,8 +153,9 @@ def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
 @functools.lru_cache(maxsize=1, typed=True)
 def _distance_series(p: MapParams, target, n_max: int) -> tuple[float, ...]:
     mu = p.mu
-    out = [hyperbolic_dist(0.0j, mu)]  # n = 1, empty chain; needs |mu| < 1
     log_det = math.log1p(-abs(mu) ** 2)  # also log(1 - |mu|^2) of w0 = mu
+    # n = 1, the empty chain: the loop's formula at v = 0, log_s = 0
+    out = [2.0 * math.log1p(abs(mu)) - log_det]
     v = 0.0 + 0.0j
     log_s = 0.0
     for s in _chain_phases(p, target, n_max):
@@ -210,6 +172,8 @@ def _distance_series(p: MapParams, target, n_max: int) -> tuple[float, ...]:
 
 def growth_fit(p: MapParams, target, n_lo: int, n_hi: int) -> GrowthFit:
     """Least-squares slope of d_h(0, mu_{H^n}) against n over [n_lo, n_hi]."""
+    n_lo = require_integer("growth_fit", "n_lo", n_lo)
+    n_hi = require_integer("growth_fit", "n_hi", n_hi)
     if n_hi - n_lo < 10:
         raise InvalidParameter(
             f"need n_hi - n_lo >= 10, got n_lo={n_lo}, n_hi={n_hi}")

@@ -191,12 +191,15 @@ def _fixed_rays(p: MapParams) -> RegimeReport:
 
 
 def theta_of_K(K: float) -> float:
-    """Direction angle whose bifurcation stretch is K >= 2 (0 at K = 2):
-    tan theta = r^(3/2) sqrt(K) with r = (K-2)/(2K-1), which keeps theta
-    to a few ulps as theta -> 0, where acos(cos theta) loses it."""
-    if K < 2.0:
-        raise InvalidParameter("need K >= 2")
-    r = (K - 2.0) / (2.0 * K - 1.0)
+    """Direction angle whose bifurcation stretch is K (0 at K = 2), for
+    K >= 2 with 2K - 1 finite: tan theta = r^(3/2) sqrt(K) with
+    r = (K-2)/(2K-1), which keeps theta to a few ulps as theta -> 0, where
+    acos(cos theta) loses it."""
+    d = 2.0 * K - 1.0
+    if not (K >= 2.0 and math.isfinite(d)):  # nan fails too
+        raise InvalidParameter(
+            f"theta_of_K needs K >= 2 with 2K - 1 finite, got K={K!r}")
+    r = (K - 2.0) / d
     return math.atan(r * math.sqrt(K * r))
 
 

@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 import re
+import types
 
 import numpy as np
 import pytest
 
+import qrdyn
 from qrdyn import blaschke, circle, mobius, plane, rays
 from qrdyn.core import (arg_h, circle_dist, eval_h, eval_H, make_params,
                         normalize_angle, params_of_mu, radial_stretch)
@@ -139,6 +141,54 @@ def test_non_integer_loop_counts_raise_invalid_parameter(fn_name, value):
                                        f"got {name}={value!r}")):
         LOOP_COUNTS[fn_name](value)
     LOOP_COUNTS[fn_name](np.int64(2))  # numpy integers are integers
+
+
+# growth_fit's window bounds, each as a call of that bound alone, with an
+# integer of the same type that makes a window of at least two points
+GROWTH_FIT_BOUNDS = {
+    "n_lo": (lambda n: mobius.growth_fit(P, 0.5 + 0.5j, n, 60), np.int64(2)),
+    "n_hi": (lambda n: mobius.growth_fit(P, 0.5 + 0.5j, 2, n), np.int64(60)),
+}
+
+
+@pytest.mark.parametrize("value", [10.5, 60.0, np.float64(3.0), "3", None])
+@pytest.mark.parametrize("name", sorted(GROWTH_FIT_BOUNDS))
+def test_growth_fit_window_bounds_must_be_integers(name, value):
+    # a float n_lo fell through to a slice (a bare TypeError), and a float
+    # n_hi was reported as dilatation_distance_series' n_max
+    fn, integer = GROWTH_FIT_BOUNDS[name]
+    with pytest.raises(InvalidParameter,
+                       match=re.escape(f"growth_fit needs an integer {name}, "
+                                       f"got {name}={value!r}")):
+        fn(value)
+    assert fn(integer).n_used == (6, 60)
+
+
+# the public names of the package, submodules aside: a name added here is
+# part of the library's contract, and a test helper is not
+PUBLIC_NAMES = {
+    "BackwardTree", "BasinInterval", "BlaschkeMap", "FixedRay", "GrowthFit",
+    "InvalidParameter", "JuliaKind", "LimitOutcome", "LimitReport",
+    "MapParams", "NoBasin", "NumericalFailure", "ObstructionVerdict",
+    "PlaneGrid", "PointClass", "PointResult", "QrdynError", "R_ESCAPE",
+    "Reason", "Regime", "RegimeReport", "ResourceLimit", "Stability",
+    "Verdict", "Window", "arg_h", "backward_tree", "blaschke_apply",
+    "blaschke_of_params", "circle_dist", "circle_map", "circle_map_deriv",
+    "circle_preimages", "classify_limit", "classify_point", "contraction_k",
+    "cubic_coeffs", "dilatation_chain", "dilatation_distance_series",
+    "dilatation_on_ray", "eval_H", "eval_h", "fixed_rays", "growth_fit",
+    "immediate_basin", "interval_J", "julia_classification", "julia_sample",
+    "k_theta", "make_params", "normalize_angle", "obstruction_report",
+    "orbit", "params_of_mu", "r_attract", "radial_fixed_point",
+    "radial_stretch", "render_grid", "theta_of_K", "trace_sq_of_angle",
+    "write_ppm", "write_stats",
+}
+
+
+def test_public_names_of_the_package():
+    names = {name for name in dir(qrdyn) if not name.startswith("_")
+             and not isinstance(getattr(qrdyn, name), types.ModuleType)}
+    assert names == PUBLIC_NAMES
 
 
 # each scalar angle primitive, with the name of its angle

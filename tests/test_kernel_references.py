@@ -70,15 +70,16 @@ from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
                         radial_stretch,
                         normalize_angle)
 from qrdyn.errors import InvalidParameter, NumericalFailure
-from qrdyn.mobius import (DiskMobius, dilatation_chain,
-                          dilatation_distance_series, dilatation_on_ray,
-                          fixed_ray_mobius, hyperbolic_dist, mobius_apply)
+from qrdyn.mobius import (dilatation_chain, dilatation_distance_series,
+                          dilatation_on_ray)
 from qrdyn.plane import (BLOCK_PIXELS, MAX_RESOLUTION, PlaneGrid, PointClass, PointResult,
                          R_ESCAPE, Window, _palette, classify_point, r_attract,
                          render_grid, write_ppm)
 from qrdyn.rays import (FixedRay, Regime, RegimeReport, Stability,
                         _fixed_rays, cubic_coeffs, fixed_rays, k_theta,
                         theta_of_K, trace_sq_of_angle)
+from disk_mobius import (DiskMobius, fixed_ray_mobius, hyperbolic_dist,
+                         mobius_apply)
 from quartic_oracle import exact_regime
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))

@@ -12,11 +12,12 @@ import pytest
 from qrdyn import mobius
 from qrdyn.core import make_params
 from qrdyn.errors import InvalidParameter, ResourceLimit
-from qrdyn.mobius import (MAX_CHAIN_LEN, DiskMobius, contraction_k,
-                          dilatation_chain, dilatation_distance_series,
-                          dilatation_on_ray, fixed_ray_mobius, growth_fit,
-                          hyperbolic_dist, mobius_apply)
-from qrdyn.rays import fixed_rays, trace_sq_of_angle
+from qrdyn.mobius import (MAX_CHAIN_LEN, contraction_k, dilatation_chain,
+                          dilatation_distance_series, dilatation_on_ray,
+                          growth_fit)
+from qrdyn.rays import Regime, fixed_rays, k_theta, trace_sq_of_angle
+from disk_mobius import (DiskMobius, fixed_ray_mobius, hyperbolic_dist,
+                         mobius_apply)
 
 
 def random_mobius(rng):
@@ -71,8 +72,10 @@ def test_contraction_examples():
     for T in (4.1, 5.0, 9.0, 100.0):
         k = contraction_k(T)
         assert k + 1.0 / k + 2.0 == pytest.approx(T, rel=1e-10)
-    with pytest.raises(InvalidParameter):
-        contraction_k(4.0)
+    # nan passed a T <= 4 guard and came back as nan
+    for T in (4.0, math.nan):
+        with pytest.raises(InvalidParameter, match=f"got {T}"):
+            contraction_k(T)
 
 
 def test_contraction_matches_its_exact_value():
@@ -107,8 +110,10 @@ def test_fixed_ray_mobius_hyperbolic_with_expected_trace():
 
 def test_fixed_ray_mobius_rejects_non_fixed_angle():
     p = make_params(4.0, 0.0)
-    with pytest.raises(InvalidParameter):
-        fixed_ray_mobius(p, 0.7)
+    with pytest.raises(InvalidParameter, match="phi=0.7"):
+        dilatation_on_ray(p, 0.7, 20)
+    with pytest.raises(InvalidParameter, match="phi=0.7"):
+        dilatation_distance_series(p, 0.7, 20)
     for phi in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameter, match=f"phi={phi}"):
             fixed_ray_mobius(p, phi)
@@ -186,6 +191,28 @@ def test_distance_series_matches_direct_evaluation():
         mu_n = dilatation_on_ray(p, r0.angle, n)
         assert series[n - 1] == pytest.approx(
             hyperbolic_dist(0.0j, mu_n), rel=1e-9, abs=1e-9)
+
+
+def test_first_distance_is_the_reference_distance_of_mu():
+    # the n = 1 term, the series loop's formula at v = 0 and log_s = 0, is
+    # the reference distance bit for bit: on every fixed ray and from a
+    # start, with K from 1 + 1e-12 to 1e15 and maps at the bifurcation
+    rng = random.Random(43)
+    maps = [make_params(2.0, 0.0)]
+    for _ in range(150):
+        maps.append(make_params(1.0 + 10 ** rng.uniform(-12.0, 15.0),
+                                rng.uniform(-math.pi / 2, math.pi / 2)))
+        theta = rng.uniform(-1.5, 1.5)
+        maps.append(make_params(k_theta(abs(theta)), theta))
+    assert {fixed_rays(p).regime for p in maps} == set(Regime)
+    for p in maps:
+        want = hyperbolic_dist(0j, p.mu)
+        targets = [r.angle for r in fixed_rays(p).rays]
+        targets.append(cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        for target in targets:
+            for n in (1, 3):
+                got = dilatation_distance_series(p, target, n)[0]
+                assert repr(got) == repr(want), (p, target)
 
 
 def test_distance_series_survives_boundary_pinning():

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -132,8 +133,12 @@ def test_theta_of_K_endpoints_and_monotone():
     vals = [theta_of_K(K) for K in (2.1, 3.0, 5.0, 20.0, 500.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < math.pi / 2
-    with pytest.raises(InvalidParameter):
-        theta_of_K(1.5)
+    assert theta_of_K(8.9e307) == math.pi / 2
+    # from about 9e307 on 2K - 1 overflowed and the angle came back as 0.0
+    # where it rounds to pi/2; inf and nan gave nan
+    for K in (1.5, 9e307, 1.7e308, math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match=re.escape(f"got K={K!r}")):
+            theta_of_K(K)
 
 
 def test_k_theta_round_trip():
