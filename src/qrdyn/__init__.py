@@ -8,14 +8,12 @@ in the hyperbolic disk, the escaping/attracted plane partition, and trace
 obstructions to quasiconformal equivalence near infinity.
 """
 
-from .core import (MapParams, make_params, params_of_mu, eval_h, eval_H,
-                   radial_stretch, arg_h, normalize_angle, circle_dist)
-from .circle import (circle_map, circle_map_deriv, circle_preimages, orbit,
-                     classify_limit, backward_tree, BackwardTree, LimitOutcome,
-                     LimitReport)
+from .core import (MapParams, make_params, params_of_mu, eval_H,
+                   radial_stretch, circle_dist)
+from .circle import (circle_map, orbit, classify_limit, backward_tree,
+                     BackwardTree, LimitOutcome, LimitReport)
 from .rays import (FixedRay, RegimeReport, Regime, Stability, fixed_rays,
-                   cubic_coeffs, trace_sq_of_angle, theta_of_K, k_theta,
-                   interval_J)
+                   theta_of_K, k_theta, interval_J)
 from .mobius import (contraction_k, dilatation_on_ray, dilatation_chain,
                      dilatation_distance_series, growth_fit, GrowthFit)
 from .blaschke import (BlaschkeMap, blaschke_of_params, blaschke_apply,
@@ -23,7 +21,7 @@ from .blaschke import (BlaschkeMap, blaschke_of_params, blaschke_apply,
                        JuliaKind, BasinInterval)
 from .plane import (PointClass, PointResult, classify_point,
                     radial_fixed_point, Window, PlaneGrid, render_grid,
-                    write_ppm, write_stats, R_ESCAPE, r_attract)
+                    write_ppm, write_stats, R_ESCAPE)
 from .obstruct import (ObstructionVerdict, Verdict, Reason,
                        obstruction_report)
 from .errors import (QrdynError, InvalidParameter, NumericalFailure,

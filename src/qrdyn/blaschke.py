@@ -8,9 +8,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import TAU, MapParams, require_integer
+from .core import TAU, MapParams, require_count
 from .rays import Regime, Stability, fixed_rays
-from .errors import InvalidParameter, NoBasin, ResourceLimit
+from .errors import InvalidParameter, NoBasin
 
 SAMPLE_BURN_IN = 30      # julia_sample: backward steps discarded before sampling
 BASIN_MARGIN = 1e-9      # BasinInterval.contains: distance kept from both ends
@@ -31,8 +31,8 @@ def blaschke_of_params(p: MapParams) -> BlaschkeMap:
 
 
 def blaschke_apply(B: BlaschkeMap, z: complex) -> complex:
-    if abs(z) > 1.0 + 1e-9:
-        raise InvalidParameter("blaschke_apply expects |z| <= 1")
+    if not abs(z) <= 1.0 + 1e-9:  # nan fails too
+        raise InvalidParameter(f"blaschke_apply needs |z| <= 1, got z={z!r}")
     z2 = z * z
     return (z2 + B.mu) / (1.0 + B.mu.conjugate() * z2)
 
@@ -65,18 +65,15 @@ def julia_sample(p: MapParams, count: int, seed: int) -> list[float]:
     Random-branch backward orbit of a repelling fixed angle; the first
     SAMPLE_BURN_IN iterates are discarded.  Deterministic for a given seed.
     """
-    count = require_integer("julia_sample", "count", count)
-    if count < 1:
-        raise InvalidParameter(f"need count >= 1, got count={count}")
-    if count > MAX_SAMPLE_COUNT:
-        raise ResourceLimit(f"count {count} exceeds limit {MAX_SAMPLE_COUNT}")
+    count = require_count("julia_sample", "count", count, 1, MAX_SAMPLE_COUNT)
     report = fixed_rays(p)
     repellers = [r for r in report.rays if r.stability is Stability.REPELLING]
     if not repellers:  # parabolic circle: the neutral angle lies in J too
         repellers = list(report.rays)
     getrandbits = random.Random(seed).getrandbits
-    # circle_preimages written out with the same float operations, so the
-    # sample is bit-identical to calling it
+    # a random one of the preimages phi = theta + atan2(K sin u, cos u),
+    # u = (x - 2 theta)/2, and phi + pi, reduced with normalize_angle's float
+    # operations: bit-identical to the tests' reference circle_preimages
     K, theta, two_theta, pi = p.K, p.theta, 2.0 * p.theta, math.pi
     atan2, sin, cos = math.atan2, math.sin, math.cos
     x = repellers[0].angle

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TAU, MapParams, arg_h, circle_dist, normalize_angle,
-                   require_finite, require_integer)
-from .errors import InvalidParameter, ResourceLimit
+                   require_count, require_finite)
+from .errors import InvalidParameter
 
 MAX_TREE_DEPTH = 20
 # `qrdyn orbit` prints the whole orbit: at a million angles it peaks near
@@ -55,15 +55,6 @@ def circle_map_deriv(p: MapParams, phi: float) -> float:
     return 2.0 * p.K / (1.0 + (p.K * p.K - 1.0) * c * c)
 
 
-def circle_preimages(p: MapParams, psi: float) -> tuple[float, float]:
-    """The two angles phi, phi + pi with circle_map(phi) = psi."""
-    require_finite("circle_preimages", "psi", psi)
-    u = (psi - 2.0 * p.theta) / 2.0
-    x = math.atan2(p.K * math.sin(u), math.cos(u))
-    phi = normalize_angle(p.theta + x)
-    return phi, normalize_angle(phi + math.pi)
-
-
 def _circle_step(mu: complex, z: np.ndarray, w: np.ndarray) -> None:
     """One circle-map step on nonzero complex numbers z, in place:
     z <- w^2 with w = z + mu conj(z), a positive multiple of h(z), so
@@ -90,11 +81,7 @@ def _rescale_period(K: float) -> int:
 def orbit(p: MapParams, phi: float, n: int) -> list[float]:
     """Forward orbit [phi, H~(phi), ..., H~^n(phi)]."""
     require_finite("orbit", "phi", phi)
-    n = require_integer("orbit", "n", n)
-    if n < 0:
-        raise InvalidParameter(f"orbit needs n >= 0, got n={n}")
-    if n > MAX_ORBIT_LEN:
-        raise ResourceLimit(f"orbit length {n} exceeds limit {MAX_ORBIT_LEN}")
+    n = require_count("orbit", "n", n, 0, MAX_ORBIT_LEN)
     seq = [normalize_angle(phi)]
     for _ in range(n):
         seq.append(circle_map(p, seq[-1]))
@@ -134,9 +121,7 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
     require_finite("classify_limit", "phi", phi)
-    max_iter = require_integer("classify_limit", "max_iter", max_iter)
-    if max_iter < 0:
-        raise InvalidParameter(f"need max_iter >= 0, got max_iter={max_iter}")
+    max_iter = require_count("classify_limit", "max_iter", max_iter, 0)
     targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
 
     # circle_map and circle_dist written out with the same float operations,
@@ -194,7 +179,7 @@ def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
     every _rescale_period(K) steps z is divided by |z| instead.
     """
     require_finite("converged_fraction", "target", target)
-    n_iter = require_integer("converged_fraction", "n_iter", n_iter)
+    n_iter = require_count("converged_fraction", "n_iter", n_iter, 0)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     w = np.empty_like(z)
     period = _rescale_period(p.K)
@@ -243,14 +228,10 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
     """All depth-level preimages of phi under the circle map."""
     require_finite("backward_tree", "phi", phi)
-    depth = require_integer("backward_tree", "depth", depth)
-    if depth < 0:
-        raise InvalidParameter(f"need depth >= 0, got depth={depth}")
-    if depth > MAX_TREE_DEPTH:
-        raise ResourceLimit(f"depth {depth} exceeds limit {MAX_TREE_DEPTH}")
+    depth = require_count("backward_tree", "depth", depth, 0, MAX_TREE_DEPTH)
     level = np.array([normalize_angle(phi)])
     for _ in range(depth):
-        # both preimages of every angle, as in circle_preimages
+        # both preimages phi, phi + pi of every angle under the circle map
         u = (level - 2.0 * p.theta) / 2.0
         first = _wrap(p.theta + np.arctan2(p.K * np.sin(u), np.cos(u)))
         both = np.concatenate((first, _wrap(first + math.pi)))

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ResourceLimit
 
 TAU = 2.0 * math.pi
 
@@ -25,14 +25,21 @@ def normalize_angle(x: float) -> float:
     return a
 
 
-def require_integer(fn: str, name: str, value) -> int:
-    """A loop count as an int: InvalidParameter naming the value unless
-    operator.index accepts it (Python and numpy integers, not floats)."""
+def require_count(fn: str, name: str, value, lo, limit=None) -> int:
+    """A loop count or size as an int in [lo, limit], either end None for
+    none: InvalidParameter naming fn, name and the value unless
+    operator.index accepts it (Python and numpy integers, not floats) or
+    when it is below lo, and ResourceLimit when it is above limit."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise InvalidParameter(f"{fn} needs an integer {name}, "
                                f"got {name}={value!r}") from None
+    if lo is not None and n < lo:
+        raise InvalidParameter(f"{fn} needs {name} >= {lo}, got {name}={n}")
+    if limit is not None and n > limit:
+        raise ResourceLimit(f"{fn} {name} {n} exceeds limit {limit}")
+    return n
 
 
 def require_finite(fn: str, name: str, x: float) -> None:
@@ -42,8 +49,13 @@ def require_finite(fn: str, name: str, x: float) -> None:
 
 
 def circle_dist(a: float, b: float) -> float:
-    """Distance between two angles on the circle, always <= pi."""
-    return abs(normalize_angle(a - b))
+    """Distance between two angles on the circle, always <= pi;
+    InvalidParameter naming a and b unless a - b is finite."""
+    d = a - b
+    if not math.isfinite(d):
+        raise InvalidParameter(
+            f"circle_dist needs angles with a finite difference, got a={a!r}, b={b!r}")
+    return abs(normalize_angle(d))
 
 
 def normalize_theta(theta: float) -> float:
@@ -54,27 +66,45 @@ def normalize_theta(theta: float) -> float:
     return t
 
 
+def _require_stretch(K: float, theta: float) -> None:
+    """Raise InvalidParameter unless K and theta are finite, K > 1 and
+    (K-1)/(K+1), the modulus of mu, rounds below 1."""
+    if not (math.isfinite(K) and math.isfinite(theta)):
+        raise InvalidParameter(
+            f"need a finite K and theta, got K={K!r}, theta={theta!r}")
+    if not K > 1.0:
+        raise InvalidParameter(f"need K > 1, got K={K} (K=1 is the identity stretch)")
+    # from K of about 1.2e16 on, |mu| = 1 - 2/(K+1) rounds to 1: h is then
+    # degenerate in floating point, and K^2 overflows from about 1.3e154 on
+    if (K - 1.0) / (K + 1.0) >= 1.0:
+        raise InvalidParameter(
+            f"K={K!r} is too large: |mu| = (K-1)/(K+1) rounds to 1")
+
+
 @dataclass(frozen=True)
 class MapParams:
-    """The pair (K, theta) defining h and H, with the derived dilatation mu."""
+    """The pair (K, theta) defining h and H, with the derived dilatation mu.
+
+    Built directly, it is checked as make_params checks its arguments, and
+    mu must have |mu| < 1; whether mu matches K and theta is not checked.
+    """
 
     K: float
     theta: float
     mu: complex
 
+    def __post_init__(self):
+        _require_stretch(self.K, self.theta)
+        if not abs(self.mu) < 1.0:  # nan fails too
+            raise InvalidParameter(f"MapParams needs |mu| < 1, got mu={self.mu!r}")
+
 
 def make_params(K: float, theta: float) -> MapParams:
-    if not (math.isfinite(K) and math.isfinite(theta)):
-        raise InvalidParameter("K and theta must be finite")
-    if K <= 1.0:
-        raise InvalidParameter(f"need K > 1, got K={K} (K=1 is the identity stretch)")
+    """The map of stretch K > 1 in the direction theta, reduced to
+    (-pi/2, pi/2]; InvalidParameter outside the domain MapParams checks."""
+    _require_stretch(K, theta)  # before mu divides by K + 1
     t = normalize_theta(theta)
     mu = cmath.exp(2j * t) * (K - 1.0) / (K + 1.0)
-    # from K of about 1.2e16 on, |mu| = 1 - 2/(K+1) rounds to 1: h is then
-    # degenerate in floating point, and K^2 overflows from about 1.3e154 on
-    if (K - 1.0) / (K + 1.0) >= 1.0 or abs(mu) >= 1.0:
-        raise InvalidParameter(
-            f"K={K!r} is too large: |mu| = (K-1)/(K+1) rounds to 1")
     return MapParams(K=float(K), theta=t, mu=mu)
 
 
@@ -97,7 +127,10 @@ def eval_h(p: MapParams, z):
 
 
 def eval_H(p: MapParams, z):
-    """The degree-two map H(z) = h(z)^2, on numbers or arrays."""
+    """The degree-two map H(z) = h(z)^2, on numbers or arrays.
+
+    It checks no z: it is elementwise IEEE arithmetic, so a nan stays nan
+    and a z past about 1e154 / K overflows to inf, entry by entry."""
     w = eval_h(p, z)
     return w * w
 

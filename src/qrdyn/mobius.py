@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TAU, MapParams, arg_h, circle_dist, normalize_angle,
-                   require_integer)
+                   require_count)
 from .circle import require_fixed_angle
-from .errors import InvalidParameter, ResourceLimit
+from .errors import InvalidParameter
 
 FIT_BURN_IN = 5  # iterates dropped before fitting (the O(1) transient)
 # `qrdyn growth` prints every distance: at a million it peaks near 280 MB,
@@ -54,8 +54,6 @@ def _chain_phases(p: MapParams, target, n: int) -> list[complex]:
     arg z from a start z (a complex target), so |z| never overflows.  The
     sign of s and the normalization of a factor cancel in its ratio."""
     global _walk
-    if n > MAX_CHAIN_LEN:
-        raise ResourceLimit(f"chain length {n} exceeds limit {MAX_CHAIN_LEN}")
     if not isinstance(target, complex):
         phi = float(target)
         require_fixed_angle(p, phi)
@@ -107,17 +105,13 @@ def _fold(mu: complex, phases: list[complex]) -> complex:
 def dilatation_on_ray(p: MapParams, phi: float, n: int) -> complex:
     """Complex dilatation of H^n on the fixed ray phi: A^{n-1}(mu) with
     A the factor of s = e^{-i phi/2}."""
-    n = require_integer("dilatation_on_ray", "n", n)
-    if n < 1:
-        raise InvalidParameter(f"need n >= 1, got n={n}")
+    n = require_count("dilatation_on_ray", "n", n, 1, MAX_CHAIN_LEN)
     return _fold(p.mu, _chain_phases(p, float(phi), n))
 
 
 def dilatation_chain(p: MapParams, z: complex, n: int) -> complex:
     """Complex dilatation of H^n at z via the non-autonomous Mobius chain."""
-    n = require_integer("dilatation_chain", "n", n)
-    if n < 1:
-        raise InvalidParameter(f"need n >= 1, got n={n}")
+    n = require_count("dilatation_chain", "n", n, 1, MAX_CHAIN_LEN)
     return _fold(p.mu, _chain_phases(p, complex(z), n))
 
 
@@ -142,9 +136,8 @@ def dilatation_distance_series(p: MapParams, target, n_max: int) -> list[float]:
     The most recent series is kept, so growth_fit after this call on the
     same arguments does not compute it again.
     """
-    n_max = require_integer("dilatation_distance_series", "n_max", n_max)
-    if n_max < 1:
-        raise InvalidParameter(f"need n_max >= 1, got n_max={n_max}")
+    n_max = require_count("dilatation_distance_series", "n_max", n_max, 1,
+                          MAX_CHAIN_LEN)
     target = complex(target) if isinstance(target, complex) else float(target)
     return list(_distance_series(p, target, n_max))
 
@@ -172,8 +165,8 @@ def _distance_series(p: MapParams, target, n_max: int) -> tuple[float, ...]:
 
 def growth_fit(p: MapParams, target, n_lo: int, n_hi: int) -> GrowthFit:
     """Least-squares slope of d_h(0, mu_{H^n}) against n over [n_lo, n_hi]."""
-    n_lo = require_integer("growth_fit", "n_lo", n_lo)
-    n_hi = require_integer("growth_fit", "n_hi", n_hi)
+    n_lo = require_count("growth_fit", "n_lo", n_lo, None)
+    n_hi = require_count("growth_fit", "n_hi", n_hi, None, MAX_CHAIN_LEN)
     if n_hi - n_lo < 10:
         raise InvalidParameter(
             f"need n_hi - n_lo >= 10, got n_lo={n_lo}, n_hi={n_hi}")

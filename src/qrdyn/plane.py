@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, eval_H, radial_stretch, require_integer
+from .core import MapParams, eval_H, radial_stretch, require_count
 from .circle import require_fixed_angle
-from .errors import InvalidParameter, ResourceLimit
+from .errors import InvalidParameter
 
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
+MAX_ITER = np.iinfo(np.int32).max  # the most the int32 counts hold
 # Pixels of the largest row block.  The kernel's step makes no temporaries,
 # so a pixel's arithmetic does not depend on its block, and the block size
 # sets only how often numpy's fixed per-call cost is paid.  At about 68 B a
@@ -51,20 +52,9 @@ class PointResult:
 _POINT_CLASSES = (PointClass.UNDECIDED, PointClass.ESCAPED, PointClass.ATTRACTED)
 
 
-def _require_max_iter(fn: str, max_iter: int) -> int:
-    """max_iter as an int, at least 1 and fitting the int32 counts."""
-    max_iter = require_integer(fn, "max_iter", max_iter)
-    if max_iter < 1:
-        raise InvalidParameter(f"need max_iter >= 1, got {max_iter}")
-    limit = np.iinfo(np.int32).max
-    if max_iter > limit:
-        raise ResourceLimit(f"max_iter {max_iter} exceeds limit {limit}")
-    return max_iter
-
-
 def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
     """Escaping / attracted-to-0 / undecided, via certified absorbing radii."""
-    max_iter = _require_max_iter("classify_point", max_iter)
+    max_iter = require_count("classify_point", "max_iter", max_iter, 1, MAX_ITER)
     labels, counts = np.empty(1, np.uint8), np.empty(1, np.int32)
     w = np.array([z], dtype=complex)
     _classify_block(p, w, max_iter, labels, counts, _scratch(1),
@@ -251,16 +241,11 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     first.  The result depends only on the arguments, not on the block
     layout, the core count or the environment.
     """
-    max_iter = _require_max_iter("render_grid", max_iter)
-    if isinstance(resolution, (tuple, list)) and len(resolution) == 2:
-        nx, ny = (require_integer("render_grid", "resolution", side)
-                  for side in resolution)
-    else:
-        nx = ny = require_integer("render_grid", "resolution", resolution)
-    if nx < 1 or ny < 1:
-        raise InvalidParameter("resolution must be positive")
-    if nx > MAX_RESOLUTION or ny > MAX_RESOLUTION:
-        raise ResourceLimit(f"resolution {nx}x{ny} exceeds {MAX_RESOLUTION} per side")
+    max_iter = require_count("render_grid", "max_iter", max_iter, 1, MAX_ITER)
+    if not (isinstance(resolution, (tuple, list)) and len(resolution) == 2):
+        resolution = (resolution, resolution)
+    nx, ny = (require_count("render_grid", "resolution", side, 1, MAX_RESOLUTION)
+              for side in resolution)
 
     xs = window.center.real + window.width * ((np.arange(nx) + 0.5) / nx - 0.5)
     ys = window.center.imag + window.height * ((np.arange(ny) + 0.5) / ny - 0.5)

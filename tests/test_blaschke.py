@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -43,8 +44,11 @@ def test_blaschke_preserves_disk():
     for _ in range(100):
         z = rng.random() * cmath.exp(1j * rng.uniform(0, 7))
         assert abs(blaschke_apply(B, z)) < 1.0
-    with pytest.raises(InvalidParameter):
-        blaschke_apply(B, 2.0 + 0j)
+    # nan compares false with the bound, so the check must not pass it
+    for z in (2.0 + 0j, complex(math.nan, 0.0), complex(0.5, math.nan),
+              complex(math.inf, 0.0), complex(0.0, -math.inf)):
+        with pytest.raises(InvalidParameter, match=re.escape(f"z={z!r}")):
+            blaschke_apply(B, z)
 
 
 def test_julia_classification_by_regime():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from qrdyn.circle import (MAX_ORBIT_LEN, _circle_step, backward_tree, circle_map,
-                          circle_map_deriv, circle_preimages, classify_limit,
-                          converged_fraction, orbit, require_fixed_angle,
-                          LimitOutcome)
+                          circle_map_deriv, classify_limit, converged_fraction,
+                          orbit, require_fixed_angle, LimitOutcome)
 from qrdyn.core import circle_dist, make_params, normalize_angle
 from qrdyn.errors import InvalidParameter, ResourceLimit
+from circle_inverse import circle_preimages
 
 
 def circle_map_lift(p, phi):
@@ -104,7 +104,8 @@ def test_orbit_rejects_out_of_domain(phi, n, named):
 @pytest.mark.parametrize("n", [MAX_ORBIT_LEN + 1, 10 ** 20])
 def test_orbit_length_limit(n):
     # rejected before the first step: 10**20 angles could not be stored
-    with pytest.raises(ResourceLimit, match=f"orbit length {n} exceeds"):
+    with pytest.raises(ResourceLimit,
+                       match=f"orbit n {n} exceeds limit {MAX_ORBIT_LEN}$"):
         orbit(make_params(2.5, 0.2), 0.5, n)
 
 

@@ -190,9 +190,9 @@ def test_render_byte_identical_reruns(tmp_path):
 
 @pytest.mark.parametrize("argv,named", [
     (["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4",
-      "--max-iter", "-3"], "max_iter >= 1, got -3"),
+      "--max-iter", "-3"], "render_grid needs max_iter >= 1, got max_iter=-3"),
     (["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4",
-      "--max-iter", "0"], "max_iter >= 1, got 0"),
+      "--max-iter", "0"], "render_grid needs max_iter >= 1, got max_iter=0"),
     (["growth", "--K", "2", "--theta", "0", "--z", "0,0"], "z = 0"),
     (["orbit", "--K", "2", "--theta", "0", "--phi", "nan"], "phi=nan"),
     (["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "-4"], "n=-4"),
@@ -240,15 +240,17 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv,named", [
     (["julia", "--K", "2", "--theta", "0", "--count", "1000000000"],
-     "count 1000000000 exceeds limit"),
+     "julia_sample count 1000000000 exceeds limit 1000000"),
     (["growth", "--K", "2", "--theta", "0", "--phi", "0", "--n-hi", "1000000000"],
-     "chain length 1000000000 exceeds limit"),
+     "growth_fit n_hi 1000000000 exceeds limit 1000000"),
     (["growth", "--K", "2", "--theta", "0", "--z", "0.3,0.4", "--n-hi",
-      "100000000000000000000"], "chain length 100000000000000000000 exceeds limit"),
+      "100000000000000000000"],
+     "growth_fit n_hi 100000000000000000000 exceeds limit 1000000"),
     (["orbit", "--K", "2", "--theta", "0", "--phi", "0.5", "--n", "1000000000"],
-     "orbit length 1000000000 exceeds limit"),
+     "orbit n 1000000000 exceeds limit 1000000"),
     (["render", "--K", "2", "--theta", "0", "--window=-1,1,-1,1", "--res", "4",
-      "--max-iter", "3000000000"], "max_iter 3000000000 exceeds limit 2147483647"),
+      "--max-iter", "3000000000"],
+     "render_grid max_iter 3000000000 exceeds limit 2147483647"),
 ], ids=["julia-count", "growth-n-hi", "growth-z-n-hi-overflow", "orbit-n",
         "render-max-iter"])
 def test_size_limits_exit_3(tmp_path, capsys, argv, named):

@@ -9,9 +9,11 @@ import pytest
 
 import qrdyn
 from qrdyn import blaschke, circle, mobius, plane, rays
-from qrdyn.core import (arg_h, circle_dist, eval_h, eval_H, make_params,
-                        normalize_angle, params_of_mu, radial_stretch)
-from qrdyn.errors import InvalidParameter
+from qrdyn.core import (MapParams, arg_h, circle_dist, eval_h, eval_H,
+                        make_params, normalize_angle, params_of_mu,
+                        radial_stretch)
+from qrdyn.errors import InvalidParameter, ResourceLimit
+from circle_inverse import circle_preimages
 
 
 def eval_H_polar(p, r, phi):
@@ -30,12 +32,30 @@ def test_make_params_rejects_bad_K():
         make_params(0.5, 0.0)
     with pytest.raises(InvalidParameter):
         make_params(float("nan"), 0.0)
+    # checked before mu divides by K + 1
+    for K in (-1.0, -1):
+        with pytest.raises(InvalidParameter, match=f"got K={K}"):
+            make_params(K, 0.0)
     # |mu| rounds to 1 long before K overflows
     for K in (2e16, 1e155, 1e308):
         for theta in (0.0, 0.3, math.pi / 2):
             with pytest.raises(InvalidParameter, match=re.escape(f"K={K!r} is too large")):
                 make_params(K, theta)
     assert abs(make_params(1e15, 0.3).mu) < 1.0
+
+
+@pytest.mark.parametrize("args,named", [
+    ((2.0, 0.0, 1 + 0j), "mu=(1+0j)"), ((2.0, 0.0, 1.5), "mu=1.5"),
+    ((2.0, 0.0, complex(math.nan, 0.0)), "mu=(nan+0j)"),
+    ((1.0, 0.0, 0j), "K=1.0"), ((math.inf, 0.0, 0.5), "K=inf"),
+    ((2.0, math.nan, 1 / 3), "theta=nan"), ((2e16, 0.0, 0.5), "K=2e+16"),
+])
+def test_map_params_built_directly_is_checked(args, named):
+    # the checks of make_params and |mu| < 1, so no function is reached
+    # with a map off the domain; an mu off the disk is named, not K
+    with pytest.raises(InvalidParameter, match=re.escape(named)):
+        MapParams(*args)
+    assert MapParams(2.0, 0.0, 1 / 3) == make_params(2.0, 0.0)
 
 
 def test_theta_normalized_to_half_open_interval():
@@ -127,7 +147,23 @@ LOOP_COUNTS = {
     "julia_sample count": lambda n: blaschke.julia_sample(P, n, 1),
     "render_grid max_iter":
         lambda n: plane.render_grid(P, plane.Window(0j, 1.0, 1.0), 4, n),
+    "render_grid resolution":
+        lambda n: plane.render_grid(P, plane.Window(0j, 1.0, 1.0), (4, n), 3),
     "classify_point max_iter": lambda n: plane.classify_point(P, 0.1j, n),
+}
+# the range [lo, limit] of each loop count, None for no limit
+COUNT_RANGES = {
+    "orbit n": (0, circle.MAX_ORBIT_LEN),
+    "backward_tree depth": (0, circle.MAX_TREE_DEPTH),
+    "converged_fraction n_iter": (0, None),
+    "classify_limit max_iter": (0, None),
+    "dilatation_chain n": (1, mobius.MAX_CHAIN_LEN),
+    "dilatation_on_ray n": (1, mobius.MAX_CHAIN_LEN),
+    "dilatation_distance_series n_max": (1, mobius.MAX_CHAIN_LEN),
+    "julia_sample count": (1, blaschke.MAX_SAMPLE_COUNT),
+    "render_grid max_iter": (1, 2 ** 31 - 1),
+    "render_grid resolution": (1, plane.MAX_RESOLUTION),
+    "classify_point max_iter": (1, 2 ** 31 - 1),
 }
 
 
@@ -141,6 +177,22 @@ def test_non_integer_loop_counts_raise_invalid_parameter(fn_name, value):
                                        f"got {name}={value!r}")):
         LOOP_COUNTS[fn_name](value)
     LOOP_COUNTS[fn_name](np.int64(2))  # numpy integers are integers
+
+
+@pytest.mark.parametrize("fn_name", sorted(LOOP_COUNTS))
+def test_loop_counts_out_of_range_name_function_and_value(fn_name):
+    # one shared range check names the function, the count and its value;
+    # a negative n_iter used to return the starting fraction
+    fn, name = fn_name.split()
+    lo, limit = COUNT_RANGES[fn_name]
+    with pytest.raises(InvalidParameter, match=re.escape(
+            f"{fn} needs {name} >= {lo}, got {name}={lo - 1}") + "$"):
+        LOOP_COUNTS[fn_name](np.int64(lo - 1))
+    if limit is not None:
+        with pytest.raises(ResourceLimit, match=re.escape(
+                f"{fn} {name} {limit + 1} exceeds limit {limit}") + "$"):
+            LOOP_COUNTS[fn_name](limit + 1)
+    LOOP_COUNTS[fn_name](lo)  # the bound itself is in range
 
 
 # growth_fit's window bounds, each as a call of that bound alone, with an
@@ -172,16 +224,15 @@ PUBLIC_NAMES = {
     "MapParams", "NoBasin", "NumericalFailure", "ObstructionVerdict",
     "PlaneGrid", "PointClass", "PointResult", "QrdynError", "R_ESCAPE",
     "Reason", "Regime", "RegimeReport", "ResourceLimit", "Stability",
-    "Verdict", "Window", "arg_h", "backward_tree", "blaschke_apply",
-    "blaschke_of_params", "circle_dist", "circle_map", "circle_map_deriv",
-    "circle_preimages", "classify_limit", "classify_point", "contraction_k",
-    "cubic_coeffs", "dilatation_chain", "dilatation_distance_series",
-    "dilatation_on_ray", "eval_H", "eval_h", "fixed_rays", "growth_fit",
-    "immediate_basin", "interval_J", "julia_classification", "julia_sample",
-    "k_theta", "make_params", "normalize_angle", "obstruction_report",
-    "orbit", "params_of_mu", "r_attract", "radial_fixed_point",
-    "radial_stretch", "render_grid", "theta_of_K", "trace_sq_of_angle",
-    "write_ppm", "write_stats",
+    "Verdict", "Window", "backward_tree", "blaschke_apply",
+    "blaschke_of_params", "circle_dist", "circle_map", "classify_limit",
+    "classify_point", "contraction_k", "dilatation_chain",
+    "dilatation_distance_series", "dilatation_on_ray", "eval_H",
+    "fixed_rays", "growth_fit", "immediate_basin", "interval_J",
+    "julia_classification", "julia_sample", "k_theta", "make_params",
+    "obstruction_report", "orbit", "params_of_mu", "radial_fixed_point",
+    "radial_stretch", "render_grid", "theta_of_K", "write_ppm",
+    "write_stats",
 }
 
 
@@ -197,7 +248,7 @@ ANGLE_PRIMITIVES = {
     "radial_stretch": (radial_stretch, "phi"),
     "circle_map": (circle.circle_map, "phi"),
     "circle_map_deriv": (circle.circle_map_deriv, "phi"),
-    "circle_preimages": (circle.circle_preimages, "psi"),
+    "circle_preimages": (circle_preimages, "psi"),
 }
 
 

@@ -64,7 +64,7 @@ from qrdyn.blaschke import julia_sample
 from qrdyn import circle, plane
 from qrdyn.circle import (DEDUP_TOL, LIMIT_TOL, LimitOutcome, LimitReport,
                           _dedup_sorted, backward_tree, circle_map,
-                          circle_map_deriv, circle_preimages, classify_limit,
+                          circle_map_deriv, classify_limit,
                           converged_fraction, orbit)
 from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
                         radial_stretch,
@@ -78,6 +78,7 @@ from qrdyn.plane import (BLOCK_PIXELS, MAX_RESOLUTION, PlaneGrid, PointClass, Po
 from qrdyn.rays import (FixedRay, Regime, RegimeReport, Stability,
                         _fixed_rays, cubic_coeffs, fixed_rays, k_theta,
                         theta_of_K, trace_sq_of_angle)
+from circle_inverse import circle_preimages
 from disk_mobius import (DiskMobius, fixed_ray_mobius, hyperbolic_dist,
                          mobius_apply)
 from quartic_oracle import exact_regime

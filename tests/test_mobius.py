@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from qrdyn import mobius
-from qrdyn.core import make_params
+from qrdyn.core import MapParams, make_params
 from qrdyn.errors import InvalidParameter, ResourceLimit
 from qrdyn.mobius import (MAX_CHAIN_LEN, contraction_k, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
@@ -170,17 +170,32 @@ def test_chain_rejects_non_finite_start(z):
 @pytest.mark.parametrize("n", [MAX_CHAIN_LEN + 1, 10 ** 20])
 def test_chain_length_limit(n):
     # rejected before any factor is built: 10**20 could not even be allocated
+    # each function names its own count
     p = make_params(2.0, 0.0)
-    match = f"chain length {n} exceeds"
-    with pytest.raises(ResourceLimit, match=match):
+
+    def match(fn, name):
+        return re.escape(f"{fn} {name} {n} exceeds limit {MAX_CHAIN_LEN}") + "$"
+
+    with pytest.raises(ResourceLimit, match=match("dilatation_chain", "n")):
         dilatation_chain(p, 0.3 + 0.4j, n)
-    with pytest.raises(ResourceLimit, match=match):
+    with pytest.raises(ResourceLimit, match=match("dilatation_on_ray", "n")):
         dilatation_on_ray(p, 0.0, n)
     for target in (0.0, 0.3 + 0.4j):
-        with pytest.raises(ResourceLimit, match=match):
+        with pytest.raises(ResourceLimit,
+                           match=match("dilatation_distance_series", "n_max")):
             dilatation_distance_series(p, target, n)
-        with pytest.raises(ResourceLimit, match=match):
+        with pytest.raises(ResourceLimit, match=match("growth_fit", "n_hi")):
             growth_fit(p, target, 10, n)
+
+
+@pytest.mark.parametrize("mu", [1 + 0j, 1.5, -0.6 + 0.8j, complex(math.nan, 0.0)])
+def test_the_chain_is_not_reached_with_mu_off_the_disk(mu):
+    # a MapParams built directly checks |mu| < 1 itself: the chain returned
+    # a point outside the disk for mu = 1.5, and the distance series raised
+    # a bare ValueError from log(1 - |mu|^2)
+    for fn in (dilatation_chain, dilatation_distance_series):
+        with pytest.raises(InvalidParameter, match=re.escape(f"mu={mu!r}")):
+            fn(MapParams(2.0, 0.0, mu), 0.3 + 0.4j, 5)
 
 
 def test_distance_series_matches_direct_evaluation():

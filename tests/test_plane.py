@@ -113,7 +113,7 @@ def test_invariance_under_polar_preimage():
         if lab is PointClass.UNDECIDED:
             continue
         # invert the polar form: find phi with circle_map(phi) = psi
-        from qrdyn.circle import circle_preimages
+        from circle_inverse import circle_preimages
         phi = circle_preimages(p, psi)[0]
         rp = math.sqrt(r / radial_stretch(p, phi))
         w = rp * cmath.exp(1j * phi)
