@@ -10,8 +10,8 @@ fixed seed).  Exempt are:
   nan stays nan and an overflow gives inf, entry by entry, as numpy's
   arithmetic does;
 - the records, enumerations and error types, which hold values and check
-  none.  MapParams checks itself and is swept; Window is swept through
-  Window.from_bounds, the constructor that checks its bounds.
+  none.  MapParams and Window check themselves and are swept, Window also
+  through Window.from_bounds, the constructor from bounds.
 """
 
 import ast
@@ -94,6 +94,11 @@ def calls(tmp_path):
                 for ymax in bounds:
                     yield ("Window", q.Window.from_bounds,
                            (xmin, xmax, ymin, ymax))
+    sizes = (1.0, 5e-324, 1e300, 0.0, -1.0) + ANGLES[5:]
+    for center in ZS:
+        for width in sizes:
+            for height in sizes:
+                yield "Window", q.Window, (center, width, height)
     windows = (q.Window(0j, 4.0, 4.0), q.Window.from_bounds(0.0, 1e-300, 0.0, 1e-300),
                q.Window.from_bounds(1e300, 1.5e300, -1e300, 1e300))
     resolutions = COUNTS + tuple((n, 2) for n in COUNTS)

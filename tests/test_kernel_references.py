@@ -46,7 +46,12 @@ arithmetic that changed:
 - render_grid skips the radius test at the leading steps that
   plane._quiet_steps certifies for a disk holding the block: the same
   labels and counts, bit for bit, and no certified step at or past the
-  block's first decision in the reference.
+  first decision in the reference of a pixel the block iterates;
+- render_grid first decides whole tiles by plane._tile_pass when no step
+  of the window's disk is quiet, and iterates only the pixels of the tiles
+  that fail, each written at the position _classify_block is given: the
+  same labels and counts, bit for bit, also with the tile pass forced on
+  every window and with tiles down to one pixel.
 """
 
 import cmath
@@ -271,13 +276,9 @@ def ref_render_labels_counts(p, window, resolution, max_iter):
 
 
 def ref_first_decisions(labels, counts, max_iter):
-    """The first step at which each of render_grid's blocks decides a
-    pixel, max_iter + 1 for a block that decides none."""
-    out = []
-    for rows in plane._row_blocks(labels.shape[1], labels.shape[0]):
-        decided = counts[rows][labels[rows] != 0]
-        out.append(int(decided.min()) if decided.size else max_iter + 1)
-    return out
+    """The flat array of the first step at which each pixel passes a
+    certifying radius, max_iter + 1 for an undecided one."""
+    return np.where(labels != 0, counts, max_iter + 1).ravel()
 
 
 def ref_grid_to_rgb(grid):
@@ -858,36 +859,65 @@ def test_write_ppm_bytes_equal_whole_image_reference(tmp_path, name):
                                 + ref_grid_to_rgb(g).tobytes())
 
 
+@dataclasses.dataclass
+class Certified:
+    """A render checked by certified_render."""
+
+    grid: PlaneGrid
+    gate: int      # _quiet_steps of the window's disk, through step 0
+    calls: list    # (pixels iterated, horizon) of each _classify_block call
+    tiles: int     # tiles stepped by _tile_steps
+
+
 def certified_render(p, window, resolution, max_iter):
-    """render_grid's grid and the horizon _quiet_steps gave each block, after
-    asserting that the grid equals the reference bit for bit and that no
-    horizon passes its block's first decision there."""
-    horizons = []
-    quiet_steps = plane._quiet_steps
+    """render_grid's grid and what its certificates did, after asserting
+    that the grid equals the reference bit for bit, that each
+    _classify_block call's pixels lie in the disk whose horizon it takes,
+    and that no horizon passes the reference's first decision of a pixel
+    it covers: one of the call's pixels, or any pixel for the window's
+    disk, which decides whether the tile pass runs."""
+    horizons, calls, tiles = [], [], []
+    quiet_steps, classify_block = plane._quiet_steps, plane._classify_block
+    tile_steps = plane._tile_steps
 
     def record(*args):
         horizons.append(quiet_steps(*args))
         return horizons[-1]
 
+    def kernel(p, w, idx, *args):
+        z, rho = args[-2:]
+        calls.append((idx.copy(), w.copy(), z, rho))
+        return classify_block(p, w, idx, *args)
+
+    def tile(p, z, a, max_iter):
+        tiles.append(z.size)
+        return tile_steps(p, z, a, max_iter)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plane, "_quiet_steps", record)
+        mp.setattr(plane, "_classify_block", kernel)
+        mp.setattr(plane, "_tile_steps", tile)
         g = render_grid(p, window, resolution, max_iter)
     labels, counts = ref_render_labels_counts(p, window, resolution, max_iter)
     assert np.array_equal(g.labels, labels)
     assert np.array_equal(g.counts, counts)
-    decisions = ref_first_decisions(labels, counts, max_iter)
-    assert len(horizons) == len(decisions)
-    assert all(q <= d for q, d in zip(horizons, decisions)), (horizons, decisions)
-    return g, horizons
+    first = ref_first_decisions(labels, counts, max_iter)
+    gate, *horizons = horizons
+    assert gate <= first.min()
+    assert (gate == 0) == bool(tiles), (gate, tiles)
+    assert len(horizons) == len(calls)
+    for (idx, w, z, rho), q in zip(calls, horizons):
+        assert np.all(np.abs(w - z) <= rho)
+        assert q <= first[idx].min(), (q, first[idx].min())
+    return Certified(g, gate, [(idx.size, q) for (idx, *_), q in zip(calls, horizons)],
+                     sum(tiles))
 
 
-def certified_steps(g, horizons):
+def certified_steps(c):
     """(radius tests the uncertified kernel makes, those the horizons skip):
     a pixel of count n is tested at steps 0 .. n."""
-    sizes = [g.labels[rows].size
-             for rows in plane._row_blocks(g.labels.shape[1], g.labels.shape[0])]
-    tests = int(g.counts.sum(dtype=np.int64)) + g.counts.size
-    return tests, sum(q * size for q, size in zip(horizons, sizes))
+    tests = int(c.grid.counts.sum(dtype=np.int64)) + c.grid.counts.size
+    return tests, sum(q * size for size, q in c.calls)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_RENDERS))
@@ -908,9 +938,70 @@ def test_render_grid_bit_identical_on_one_pixel_at_fixed_points():
 def test_certificate_sound_on_radius_windows():
     certified = 0
     for p, window, resolution, max_iter in RADIUS_WINDOWS:
-        g, horizons = certified_render(p, window, resolution, max_iter)
-        certified += certified_steps(g, horizons)[1] > 0
+        certified += certified_steps(certified_render(p, window, resolution,
+                                                      max_iter))[1] > 0
     assert certified >= len(RADIUS_WINDOWS) // 4
+
+
+@pytest.mark.parametrize("resolution", [(32, 32), (48, 17), (16, 16)])
+def test_render_grid_bit_identical_on_radius_windows_at_tile_shapes(resolution):
+    # windows across a certifying radius are quiet at no step, so the tile
+    # pass runs on grids of whole and clipped tiles
+    tiled = sum(certified_render(p, window, resolution, max_iter).tiles > 0
+                for p, window, _, max_iter in RADIUS_WINDOWS)
+    assert tiled >= len(RADIUS_WINDOWS) // 3
+
+
+RAGGED = [(37, 23), (100, 165), (1, 300), (300, 1), (MAX_RESOLUTION, 1),
+          (1, MAX_RESOLUTION), (17, 9), (3, 2)]
+
+
+@pytest.mark.parametrize("resolution", RAGGED)
+def test_render_grid_bit_identical_on_ragged_whole_set_grids(resolution):
+    # sides that are no multiple of a tile side, one row and one column
+    for name in ("whole-1", "whole-4", "whole-6"):
+        p, window, _, max_iter = KERNEL_RENDERS[name]
+        assert certified_render(p, window, resolution, max_iter).tiles > 0, name
+
+
+def forced_tile_renders(sides):
+    """The windows of KERNEL_RENDERS and RADIUS_WINDOWS on 32 x 32 and
+    48 x 17 grids, rendered with no step quiet, so that every one goes
+    through the tile pass, on tiles of the given sides: the names of those
+    that differ from the reference."""
+    cases = dict(KERNEL_RENDERS)
+    for i, (p, window, _, max_iter) in enumerate(RADIUS_WINDOWS):
+        cases[f"radius-{i}-32x32"] = (p, window, (32, 32), max_iter)
+        cases[f"radius-{i}-48x17"] = (p, window, (48, 17), max_iter)
+    differ = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plane, "_quiet_steps", lambda *args: 0)
+        mp.setattr(plane, "TILE_SIDES", sides)
+        for name, (p, window, resolution, max_iter) in cases.items():
+            g = render_grid(p, window, resolution, max_iter)
+            labels, counts = ref_render_labels_counts(p, window, resolution, max_iter)
+            if not (np.array_equal(g.labels, labels) and np.array_equal(g.counts, counts)):
+                differ.append(name)
+    return differ
+
+
+@pytest.mark.parametrize("sides", [(16, 8), (4, 2, 1)])
+def test_tile_pass_bit_identical_on_every_window_when_forced(sides):
+    # on a window centred on a radial fixed point a tile stays quiet for
+    # tens of steps, over which the rounding of the float orbits grows past
+    # the radii's margins: without the rounding terms of _tile_steps and
+    # _tile_rects, 2 and 14 of these renders differ
+    assert forced_tile_renders(sides) == []
+
+
+def test_tile_steps_fail_overflowing_tiles_silently():
+    # a NaN centre, inf extents, and a reach past the float range at
+    # K = 1e15, where eps S is about S; warnings are errors in this suite
+    p = make_params(1e15, 0.3)
+    z = np.array([complex(math.nan, 0.0), 0.5 + 0j, 0.5 + 0j])
+    a = np.array([1e-3 + 1e-3j, complex(math.inf, 1.0), 1e308 + 1e308j])
+    labels, counts, decided = plane._tile_steps(p, z, a, 50)
+    assert not decided.any()
 
 
 def ref_decision(p, z, max_iter):
@@ -965,16 +1056,16 @@ def test_quiet_steps_hold_points_far_from_the_centre():
 
 @functools.lru_cache(maxsize=1)
 def zoom_catalogue_steps():
-    """(radius tests, certified tests) summed over the render-zoom
-    catalogue, each entry checked by certified_render."""
-    tests = certified = 0
+    """(radius tests, certified tests, tiles stepped) summed over the
+    render-zoom catalogue, each entry checked by certified_render."""
+    tests = certified = tiles = 0
     for job in workloads.zoom_catalogue():
-        g, horizons = certified_render(
+        c = certified_render(
             make_params(job["K"], job["theta"]), Window.from_bounds(*job["window"]),
             (job["res"], job["res"]), job["max_iter"])
-        t, c = certified_steps(g, horizons)
-        tests, certified = tests + t, certified + c
-    return tests, certified
+        t, s = certified_steps(c)
+        tests, certified, tiles = tests + t, certified + s, tiles + c.tiles
+    return tests, certified, tiles
 
 
 def test_certificate_sound_on_the_zoom_catalogue():
@@ -984,15 +1075,45 @@ def test_certificate_sound_on_the_zoom_catalogue():
 def test_certificate_covers_most_zoom_steps():
     # 75.0% (31.32M of 41.77M tests), where testing only from each block's
     # first decision would skip 89.1%
-    tests, certified = zoom_catalogue_steps()
+    tests, certified, _ = zoom_catalogue_steps()
     assert certified >= 0.70 * tests
 
 
+def test_tile_pass_idle_on_zoom_windows():
+    # a zoom window is quiet at step 0, so it keeps the row-block path
+    assert zoom_catalogue_steps()[2] == 0
+    for name, case in KERNEL_RENDERS.items():
+        if name.startswith(("zoom-", "ulp-zoom-")):
+            assert certified_render(*case).tiles == 0, name
+
+
 def test_certificate_idle_on_whole_set_windows():
-    # a window holding the whole set reaches both radii at step 0, so
-    # render-wide pays one scalar test per block
+    # a window holding the whole set reaches both radii at step 0, so it
+    # goes through the tile pass, and its kernel calls certify no step
     names = [name for name in KERNEL_RENDERS if name.startswith("whole-")]
     assert names
     for name in names:
-        _, horizons = certified_render(*KERNEL_RENDERS[name])
-        assert horizons and set(horizons) == {0}, name
+        c = certified_render(*KERNEL_RENDERS[name])
+        assert c.gate == 0 and c.tiles > 0, name
+        assert {q for _, q in c.calls} <= {0}, name
+
+
+def test_tiles_decide_most_of_the_wide_catalogue():
+    # 83.3% of the 4,947,968 pixels of the render-wide catalogue; the bits
+    # of every render are checked against bench/digests.json elsewhere
+    iterated = []
+    classify_block = plane._classify_block
+
+    def kernel(p, w, *args):
+        iterated.append(w.size)
+        return classify_block(p, w, *args)
+
+    pixels = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plane, "_classify_block", kernel)
+        for job in workloads.wide_catalogue():
+            g = render_grid(make_params(job["K"], job["theta"]),
+                            Window.from_bounds(*job["window"]), job["res"],
+                            job["max_iter"])
+            pixels += g.labels.size
+    assert sum(iterated) <= 0.20 * pixels

@@ -52,6 +52,11 @@ def test_classify_point_examples():
     with pytest.raises(ResourceLimit,
                        match="max_iter 2147483648 exceeds limit 2147483647"):
         classify_point(p, 1.0 + 0j, 2 ** 31)
+    # a start that is not finite has no orbit to classify
+    for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+              complex(0.5, -math.inf), math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match=re.escape(f"z={z!r}")):
+            classify_point(p, z, 10)
 
 
 def test_classify_point_label_stable_under_more_iterations():
@@ -208,6 +213,19 @@ def test_ppm_and_stats_output(tmp_path):
     assert payload["pixels"] == 200
 
 
+def test_window_validation():
+    # a window built directly is checked as from_bounds checks its bounds
+    nan, inf = math.nan, math.inf
+    for center, width, height in [(complex(nan, 0.0), 1.0, 1.0),
+                                  (complex(0.0, inf), 1.0, 1.0),
+                                  (0j, -1.0, inf), (0j, 0.0, 1.0), (0j, 1.0, -0.0),
+                                  (0j, nan, 1.0), (0j, 1.0, inf)]:
+        named = re.escape(f"center={center!r}, width={width!r}, height={height!r}")
+        with pytest.raises(InvalidParameter, match=named):
+            Window(center, width, height)
+    assert Window(1e300 + 0j, 5e-324, 1e300).width == 5e-324
+
+
 def test_window_from_bounds_validation():
     # empty, non-finite, and finite bounds whose size or centre overflows
     for bounds in [(1.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
@@ -274,11 +292,11 @@ def render_outputs(case, path):
 def classify_block(p, z, max_iter):
     """_classify_block on fresh arrays of z's shape: (labels, counts).  Its
     disk, of infinite radius, holds every point and certifies no step."""
-    labels = np.empty(z.shape, dtype=np.uint8)
-    counts = np.empty(z.shape, dtype=np.int32)
+    labels = np.zeros(z.shape, dtype=np.uint8)
+    counts = np.full(z.shape, max_iter, dtype=np.int32)
     w = np.array(z, dtype=complex).ravel()
-    _classify_block(p, w, max_iter, labels.reshape(-1), counts.reshape(-1),
-                    _scratch(w.size), 0j, math.inf)
+    _classify_block(p, w, np.arange(w.size), max_iter, labels.reshape(-1),
+                    counts.reshape(-1), _scratch(w.size), 0j, math.inf)
     return labels, counts
 
 
@@ -300,6 +318,7 @@ def test_render_grid_matches_row_by_row_kernel():
 BLOCK_LAYOUT_CASES = {
     "deep-zoom": ZOOM,
     "off-centre": GOLDEN[1][0],
+    "whole-set": GOLDEN[0][0],
     "one-column": ZOOM[:3] + ((1, 2000), ZOOM[4]),
     "one-row": ZOOM[:3] + ((MAX_RESOLUTION, 1), ZOOM[4]),
 }
@@ -308,12 +327,14 @@ BLOCK_LAYOUT_CASES = {
 @pytest.mark.parametrize("name", sorted(BLOCK_LAYOUT_CASES))
 def test_render_is_independent_of_the_block_layout(tmp_path, monkeypatch, name):
     # one row a block, the earlier and the current block size, and the whole
-    # grid as one block give the same labels, counts and output bytes
+    # grid as one block give the same labels, counts and output bytes; so
+    # do batches of failed tiles of these sizes on the whole-set window
     case = BLOCK_LAYOUT_CASES[name]
     nx, ny = case[3]
     outputs = {}
     for block_pixels in (nx, 8192, 16384, nx * ny):
         monkeypatch.setattr(plane, "BLOCK_PIXELS", block_pixels)
+        monkeypatch.setattr(plane, "BATCH_PIXELS", block_pixels)
         outputs[block_pixels] = render_outputs(case, tmp_path)
     first = outputs[nx]
     assert all(out == first for out in outputs.values()), \
@@ -527,6 +548,25 @@ def test_write_ppm_holds_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+def test_render_grid_holds_one_block():
+    # a whole-set window goes through the tile pass, and the pixels of the
+    # failed tiles are gathered and classified one batch at a time, beside
+    # the 5 MiB grid (1 M uint8 labels and int32 counts): a whole-image mask
+    # would add 1 MiB, an intp position or code array 8 MiB.  This peaks at
+    # 6.31 MiB, and the row blocks, on this window, at 6.34 MiB.
+    p = make_params(3.0, 0.4)
+    window = Window(0j, 3.0, 3.0)
+    render_grid(p, window, 64, 200)
+    tracemalloc.start()
+    try:
+        g = render_grid(p, window, 1024, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.labels.nbytes + g.counts.nbytes == 5 << 20
+    assert peak <= (5 << 20) + (3 << 19)
 
 
 def test_rewrite_leaves_exactly_the_new_bytes(tmp_path):
