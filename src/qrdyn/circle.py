@@ -14,8 +14,8 @@ from .core import (TAU, MapParams, arg_h, circle_dist, normalize_angle,
 from .errors import InvalidParameter
 
 MAX_TREE_DEPTH = 20
-# `qrdyn orbit` prints the whole orbit: at a million angles it peaks near
-# 280 MB
+# The most steps orbit, classify_limit and converged_fraction take; `qrdyn
+# orbit` prints the whole orbit: at a million angles it peaks near 280 MB
 MAX_ORBIT_LEN = 1_000_000
 DEDUP_TOL = 1e-13
 FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi,
@@ -121,7 +121,8 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
     require_finite("classify_limit", "phi", phi)
-    max_iter = require_count("classify_limit", "max_iter", max_iter, 0)
+    max_iter = require_count("classify_limit", "max_iter", max_iter, 0,
+                             MAX_ORBIT_LEN)
     targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
 
     # circle_map and circle_dist written out with the same float operations,
@@ -179,7 +180,8 @@ def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
     every _rescale_period(K) steps z is divided by |z| instead.
     """
     require_finite("converged_fraction", "target", target)
-    n_iter = require_count("converged_fraction", "n_iter", n_iter, 0)
+    n_iter = require_count("converged_fraction", "n_iter", n_iter, 0,
+                           MAX_ORBIT_LEN)
     z = np.exp(1j * np.asarray(phis, dtype=float))
     w = np.empty_like(z)
     period = _rescale_period(p.K)

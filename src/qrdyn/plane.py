@@ -31,16 +31,13 @@ MAX_ITER = np.iinfo(np.int32).max  # the most the int32 counts hold
 BLOCK_PIXELS = 16384
 # Sides of the tiles of a whole-set render's tile pass, largest first, each
 # a multiple of the next: the image is covered with tiles of the first side,
-# and a tile that fails is split into tiles of the next.  On the
-# render-wide catalogue's jobs a 4-pixel level behind cost more tile steps
-# than the pixel steps it saved (6-12% slower), and 8 or 16 alone, (32, 8)
-# and (32, 16, 8) were within 5% of these sides either way.
+# and a tile that fails is split into tiles of the next.  A 4-pixel level
+# behind costs more tile steps than the pixel steps it saves.
 TILE_SIDES = (16, 8)
 # Pixels of the failed tiles classified together, at most.  They lie near
 # the boundary and most stay active for the first steps, so the kernel's
 # compaction holds more of them than of a row block; at 7/8 of a block, a
-# 1024^2 whole-set render peaks at no more memory than the row blocks do,
-# and the render-wide catalogue renders as fast as with whole blocks.
+# 1024^2 whole-set render peaks at no more memory than the row blocks do.
 BATCH_PIXELS = 14336
 
 
@@ -151,6 +148,19 @@ def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty(size, complex), np.empty(size, complex), np.empty(size)
 
 
+def _disk_step(p: MapParams, z, rho):
+    """(z_{n+1}, |z_{n+1}|, rho_{n+1}) of _quiet_steps' disk recurrence
+    from (z_n, rho_n), for a Python complex z and float rho or for numpy
+    arrays of them alike."""
+    K, c, mu = p.K, 0.5 * (p.K + 1.0), p.mu
+    eps = 8.0 * (K + 4.0) * 2.0 ** -53
+    h = c * (z + mu * z.conjugate())
+    z = h * h
+    m = abs(z)
+    lr = K * (2.0 * abs(h) * (1.0 + eps) + K * rho) * rho
+    return z, m, (lr + eps * (2.0 * m + lr)) * (1.0 + 2.0 ** -40)
+
+
 def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
     """The number q <= max_iter + 1 of leading steps n = 0 .. q-1 at which
     no point of the disk |w - z| <= rho can reach either certifying radius
@@ -161,7 +171,7 @@ def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
     when |z_n| - rho_n > r_attract (1 + 1e-9) and |z_n| + rho_n <
     2 (1 - 1e-9); the margins cover the rounding of |.| and of the sums.
     A NaN or inf in z_n or rho_n fails the test, so such a step is never
-    certified.  The radius grows as
+    certified.  The radius grows, by _disk_step, as
 
         rho_{n+1} = (L rho_n + eps (2 |z_{n+1}| + L rho_n)) (1 + 2^-40),
         L = K (2 |h(z_n)| (1 + eps) + K rho_n),  eps = 8 (K + 4) 2^-53:
@@ -181,19 +191,12 @@ def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
     - the factor 1 + 2^-40 covers the second-order terms, the rounding of
       c and mu (h's norm is K to a few ulps) and of this recurrence.
     """
-    lo = r_attract(p) * (1.0 + 1e-9)
-    hi = R_ESCAPE * (1.0 - 1e-9)
-    K, c, mu = p.K, 0.5 * (p.K + 1.0), p.mu
-    eps = 8.0 * (K + 4.0) * 2.0 ** -53
+    lo, hi = r_attract(p) * (1.0 + 1e-9), R_ESCAPE * (1.0 - 1e-9)
     m = abs(z)
     for n in range(max_iter + 1):
         if not (m - rho > lo and m + rho < hi):
             return n
-        h = c * (z + mu * z.conjugate())
-        z = h * h
-        m = abs(z)
-        lr = K * (2.0 * abs(h) * (1.0 + eps) + K * rho) * rho
-        rho = (lr + eps * (2.0 * m + lr)) * (1.0 + 2.0 ** -40)
+        z, m, rho = _disk_step(p, z, rho)
     return max_iter + 1
 
 
@@ -247,74 +250,28 @@ def _classify_block(p: MapParams, w: np.ndarray, idx: np.ndarray, max_iter: int,
         np.multiply(tk, tk, out=w)
 
 
-def _tile_steps(p: MapParams, z: np.ndarray, a: np.ndarray, max_iter: int):
-    """(labels, counts, decided) of tiles of pixels, tile i holding the
-    pixels z[i] + d whose offsets d lie in the rectangle |Re d| <= Re a[i],
-    |Im d| <= Im a[i].  A decided tile's label and count are those that
-    _classify_block gives every pixel in it, bit for bit.
+def _tile_steps(p: MapParams, z: np.ndarray, rho: np.ndarray, max_iter: int):
+    """(labels, counts, decided) of tiles of pixels, tile i holding pixels
+    of the disk |w - z[i]| <= rho[i].  A decided tile's label and count are
+    those that _classify_block gives every pixel in it, bit for bit.
 
-    The float orbit w_n of each pixel w = z + d is bounded around the float
-    orbit z_n of the tile's centre by an R-linear image of d and a
-    remainder,
-
-        |w_n - z_n - (A_n d + B_n conj(d))| <= E_n,   A_0 = 1, B_0 = E_0 = 0,
-
-    so that |w_n - z_n| <= rho_n, the reach
-
-        rho_n = (max(|A_n a + B_n conj(a)|, |A_n conj(a) + B_n a|)
-                 + eps S_n + E_n) (1 + 2^-40),   S_n = (|A_n| + |B_n|) r,
-
-    with r >= |a| >= |d|, and eps and the 1 + 2^-40 as in _quiet_steps.
-    Steps at which the tile lies strictly between the certifying radii, by
-    _quiet_steps' test on (z_n, rho_n), decide none of its pixels.  At the
-    first other step n the tile is decided when it lies wholly past
+    Each tile's disk is stepped by _disk_step and its steps are tested as
+    in _quiet_steps, which derives the bound.  At the first step n that is
+    not quiet the tile is decided when it lies wholly past
     R_ESCAPE (1 + 1e-9) (label 1, count n) or wholly inside
     r_attract (1 - 1e-9) (label 2, count n): the margins cover the rounding
     of |w_n|.  A tile quiet at every step through max_iter is decided
     undecided (label 0, count max_iter).  Any other tile fails, with label
-    0 and count max_iter.  A NaN or inf in z_n, A_n, B_n or E_n fails every
-    test, so an overflowing tile fails, silently.  The bound holds because:
-
-    - h is R-linear, so with delta = w_n - z_n,
-      H(w_n) - H(z_n) = 2 h(z_n) h(delta) + h(delta)^2;
-    - with delta = A d + B conj(d) + e, |e| <= E_n, the first term is
-      A' d + B' conj(d) + 2 h(z_n) h(e) exactly, with A' = f (A + mu conj(B)),
-      B' = f (B + mu conj(A)) and f = (K + 1) h(z_n);
-      |2 h(z_n) h(e)| <= 2 K |h(z_n)| E_n, and |h(delta)|^2 <= K^2 rho_n^2;
-    - the float steps of w_n and z_n are off by at most
-      eps (2 |z_{n+1}| + L rho_n), L = K (2 |h(z_n)| + K rho_n), as in
-      _quiet_steps, and |h(z_n)| is known to within a factor 1 + eps;
-    - the float A_{n+1} and B_{n+1} are off from A' and B' by at most
-      eps |f| (|A| + |mu| |B|) and eps |f| (|B| + |mu| |A|): f carries
-      h(z_n)'s error and a product's, and mu conj(B), the sum and the
-      product by f one rounding each, all relative to those sums, with no
-      cancellation.  As |f| (1 + |mu|) = 2 K |h(z_n)|, they move the linear
-      part at d by at most 2 eps K |h(z_n)| S_n;
-    - so E_{n+1} = (2 K |h| E_n + K^2 rho_n^2 + 2 eps K |h| S_n
-      + eps (2 |z_{n+1}| + L rho_n)) (1 + 2^-40), with |h| the float
-      |h(z_n)| (1 + eps);
-    - |A d + B conj(d)| is convex in d, so on the rectangle it is largest
-      at a corner, +-a or +-conj(a); computing it there is off by at most
-      4 (2^-53) S_n, which eps S_n covers.
+    0 and count max_iter.  A NaN or inf in z_n or rho_n fails every test,
+    so an overflowing tile fails, silently.
     """
     lo, hi = r_attract(p) * (1.0 + 1e-9), R_ESCAPE * (1.0 - 1e-9)
     inner, outer = r_attract(p) * (1.0 - 1e-9), R_ESCAPE * (1.0 + 1e-9)
-    K, c, mu = p.K, 0.5 * (p.K + 1.0), p.mu
-    eps = 8.0 * (K + 4.0) * 2.0 ** -53
-    grow = 1.0 + 2.0 ** -40
-    labels = np.zeros(z.size, np.uint8)
-    counts = np.full(z.size, max_iter, np.int32)
-    decided = np.zeros(z.size, bool)
-    idx = np.arange(z.size)
-    A, B, E = np.ones(z.size, complex), np.zeros(z.size, complex), np.zeros(z.size)
-    ca = a.conjugate()
+    labels, counts = np.zeros(z.size, np.uint8), np.full(z.size, max_iter, np.int32)
+    decided, idx = np.zeros(z.size, bool), np.arange(z.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.abs(a) * grow
+        m = np.abs(z)
         for n in range(max_iter + 1):
-            s = (np.abs(A) + np.abs(B)) * r
-            rho = (np.maximum(np.abs(A * a + B * ca), np.abs(A * ca + B * a))
-                   + eps * s + E) * grow
-            m = np.abs(z)
             quiet = (m - rho > lo) & (m + rho < hi)
             if n == max_iter:
                 decided[idx[quiet]] = True
@@ -325,43 +282,35 @@ def _tile_steps(p: MapParams, z: np.ndarray, a: np.ndarray, max_iter: int):
                 labels[idx[att]] = 2
                 counts[idx[done]] = n
                 decided[idx[done]] = True
-                idx, z, a, ca, r, A, B, E, s, rho = (
-                    x[quiet] for x in (idx, z, a, ca, r, A, B, E, s, rho))
+                idx, z, m, rho = (x[quiet] for x in (idx, z, m, rho))
             if n == max_iter or not idx.size:
                 break
-            h = c * (z + mu * z.conjugate())
-            habs = np.abs(h) * (1.0 + eps)
-            z = h * h
-            f = (K + 1.0) * h
-            A, B = f * (A + mu * B.conjugate()), f * (B + mu * A.conjugate())
-            kr = K * rho
-            E = (2.0 * K * habs * E + kr * kr + 2.0 * eps * K * habs * s
-                 + eps * (2.0 * np.abs(z) + kr * (2.0 * habs + kr))) * grow
+            z, m, rho = _disk_step(p, z, rho)
     return labels, counts, decided
 
 
 def _tile_rects(xs: np.ndarray, ys: np.ndarray, side: int, ti: np.ndarray,
                 tj: np.ndarray):
-    """(z, a) of _tile_steps for the tiles of side pixels at tile row ti and
-    column tj of the grid of pixels xs[j] + 1j ys[i], clipped to the grid.
-
-    The pixels of a tile lie in the rectangle of its corner pixels, as xs
-    and ys are monotone.  Each part of its centre z rounds the midpoint of
-    the corners by less than 2^-53 of the larger corner, which the
-    8 (2^-53) term of each half-side covers, plus 2^-1074 where halving a
-    subnormal rounds, which the 2^-1073 term covers.  No sum can
-    overflow."""
+    """(z, rho) of _tile_steps for the tiles of side pixels at tile row ti
+    and column tj of the grid of pixels xs[j] + 1j ys[i], clipped to the
+    grid: the disk of the half-diagonal around the centre z of the
+    rectangle of a tile's corner pixels, which holds the tile's pixels as
+    xs and ys are monotone.  Each part of z rounds the corners' midpoint by
+    less than 2^-53 of the larger corner, which the 8 (2^-53) term of each
+    half-side covers, plus 2^-1074 where halving a subnormal rounds, which
+    the 2^-1073 term covers; the factor 1 + 1e-12 covers the rounding of
+    the half-sides and of |.|.  The sides are finite, so none overflows."""
 
     def spans(v):
         """Centre and half-side of each tile's span of v."""
         ends = v[np.minimum(np.arange(side, v.size + side, side), v.size) - 1]
         lo, hi = np.minimum(v[::side], ends), np.maximum(v[::side], ends)
         return (lo / 2.0 + hi / 2.0,
-                (hi / 2.0 - lo / 2.0) * (1.0 + 1e-12)
-                + 8.0 * 2.0 ** -53 * np.maximum(-lo, hi) + 2.0 ** -1073)
+                hi / 2.0 - lo / 2.0 + 8.0 * 2.0 ** -53 * np.maximum(-lo, hi)
+                + 2.0 ** -1073)
 
     (cx, hx), (cy, hy) = spans(xs), spans(ys)
-    return cx[tj] + 1j * cy[ti], hx[tj] + 1j * hy[ti]
+    return cx[tj] + 1j * cy[ti], np.hypot(hx[tj], hy[ti]) * (1.0 + 1e-12)
 
 
 def _split(ti: np.ndarray, tj: np.ndarray, k: int):

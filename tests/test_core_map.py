@@ -155,8 +155,8 @@ LOOP_COUNTS = {
 COUNT_RANGES = {
     "orbit n": (0, circle.MAX_ORBIT_LEN),
     "backward_tree depth": (0, circle.MAX_TREE_DEPTH),
-    "converged_fraction n_iter": (0, None),
-    "classify_limit max_iter": (0, None),
+    "converged_fraction n_iter": (0, circle.MAX_ORBIT_LEN),
+    "classify_limit max_iter": (0, circle.MAX_ORBIT_LEN),
     "dilatation_chain n": (1, mobius.MAX_CHAIN_LEN),
     "dilatation_on_ray n": (1, mobius.MAX_CHAIN_LEN),
     "dilatation_distance_series n_max": (1, mobius.MAX_CHAIN_LEN),

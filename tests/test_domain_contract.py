@@ -33,8 +33,6 @@ ANGLES = (0.0, 1e-300, math.pi, -math.pi, 1e300, math.nan, math.inf, -math.inf)
 ZS = (0j, 1e-300 + 0j, 0.3 + 0.4j, 1e300 * (1 + 1j), complex(math.nan, 0.0),
       complex(math.inf, 0.0))
 COUNTS = (-1, 0, 1, 2.5, np.int64(2), 10 ** 20)
-# classify_limit's max_iter has no limit: a run costs time linear in it
-SMALL_COUNTS = COUNTS[:-1]
 
 EXEMPT = {
     "eval_H",
@@ -117,10 +115,9 @@ def calls(tmp_path):
             for fn in (q.radial_stretch, q.circle_map, q.radial_fixed_point):
                 yield fn.__name__, fn, (p, a)
             for n in COUNTS:
-                for fn in (q.orbit, q.backward_tree, q.dilatation_on_ray):
+                for fn in (q.orbit, q.backward_tree, q.dilatation_on_ray,
+                           q.classify_limit):
                     yield fn.__name__, fn, (p, a, n)
-            for n in SMALL_COUNTS:
-                yield "classify_limit", q.classify_limit, (p, a, n)
         for target in angles + ZS:
             for n in COUNTS:
                 yield ("dilatation_distance_series", q.dilatation_distance_series,
@@ -172,14 +169,25 @@ def test_every_export_returns_finite_values_or_raises_a_qrdyn_error(tmp_path):
 SRC = Path(qrdyn.__file__).resolve().parent
 
 
-def constructions(tree: ast.AST, module: str) -> set[tuple[str, str, str]]:
-    """(what, module, enclosing function) of every ResourceLimit built or
-    raised and every operator.index call in a module's tree."""
-    found = set()
+def nodes_in_functions(tree: ast.AST):
+    """(node, name of the enclosing function) of every node of a module's
+    tree, "<module>" outside any function."""
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
+        yield node, fn
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+
+    return visit(tree, "<module>")
+
+
+def constructions(tree: ast.AST, module: str) -> set[tuple[str, str, str]]:
+    """(what, module, enclosing function) of every ResourceLimit built or
+    raised and every operator.index call in a module's tree."""
+    found = set()
+    for node, fn in nodes_in_functions(tree):
         target = node.func if isinstance(node, ast.Call) else (
             node.exc if isinstance(node, ast.Raise) else None)
         if target is not None:
@@ -188,10 +196,6 @@ def constructions(tree: ast.AST, module: str) -> set[tuple[str, str, str]]:
                 found.add(("ResourceLimit", module, fn))
             if name in ("operator.index", "index"):
                 found.add(("operator.index", module, fn))
-        for child in ast.iter_child_nodes(node):
-            visit(child, fn)
-
-    visit(tree, "<module>")
     return found
 
 
@@ -203,3 +207,32 @@ def test_counts_are_range_checked_in_core_require_count_alone():
         found |= constructions(ast.parse(path.read_text(), str(path)), path.name)
     assert found == {("ResourceLimit", "core.py", "require_count"),
                      ("operator.index", "core.py", "require_count")}
+
+
+def growth_factor_functions(tree: ast.AST) -> set[str]:
+    """The functions of a module's tree with a power of two constants equal
+    to 2.0 ** -40, the factor by which the certificate's radius recurrence
+    covers its rounding, however it is spelled (2 ** -40, 0.5 ** 40)."""
+
+    def constant(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    def growth_factor(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+            return False
+        base, exp = constant(node.left), constant(node.right)
+        return isinstance(base, (int, float)) and isinstance(exp, (int, float)) \
+            and base ** exp == 2.0 ** -40
+
+    return {fn for node, fn in nodes_in_functions(tree) if growth_factor(node)}
+
+
+def test_plane_has_one_radius_recurrence():
+    # a second certificate of the plane kernel, with a recurrence of its
+    # own, fails here: _quiet_steps and _tile_steps share _disk_step
+    path = SRC / "plane.py"
+    assert growth_factor_functions(ast.parse(path.read_text(), str(path))) == {
+        "_disk_step"}

@@ -48,10 +48,11 @@ arithmetic that changed:
   labels and counts, bit for bit, and no certified step at or past the
   first decision in the reference of a pixel the block iterates;
 - render_grid first decides whole tiles by plane._tile_pass when no step
-  of the window's disk is quiet, and iterates only the pixels of the tiles
-  that fail, each written at the position _classify_block is given: the
-  same labels and counts, bit for bit, also with the tile pass forced on
-  every window and with tiles down to one pixel.
+  of the window's disk is quiet, stepping a disk holding each tile by the
+  recurrence of plane._quiet_steps, and iterates only the pixels of the
+  tiles that fail, each written at the position _classify_block is given:
+  the same labels and counts, bit for bit, also with the tile pass forced
+  on every window and with tiles down to one pixel.
 """
 
 import cmath
@@ -889,9 +890,9 @@ def certified_render(p, window, resolution, max_iter):
         calls.append((idx.copy(), w.copy(), z, rho))
         return classify_block(p, w, idx, *args)
 
-    def tile(p, z, a, max_iter):
+    def tile(p, z, rho, max_iter):
         tiles.append(z.size)
-        return tile_steps(p, z, a, max_iter)
+        return tile_steps(p, z, rho, max_iter)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plane, "_quiet_steps", record)
@@ -989,18 +990,18 @@ def forced_tile_renders(sides):
 def test_tile_pass_bit_identical_on_every_window_when_forced(sides):
     # on a window centred on a radial fixed point a tile stays quiet for
     # tens of steps, over which the rounding of the float orbits grows past
-    # the radii's margins: without the rounding terms of _tile_steps and
-    # _tile_rects, 2 and 14 of these renders differ
+    # the radii's margins: without the rounding terms of _disk_step and
+    # _tile_rects, 2 and 12 of these renders differ (with either kept, none)
     assert forced_tile_renders(sides) == []
 
 
 def test_tile_steps_fail_overflowing_tiles_silently():
-    # a NaN centre, inf extents, and a reach past the float range at
-    # K = 1e15, where eps S is about S; warnings are errors in this suite
+    # a NaN centre, an infinite radius, and at K = 1e15 a radius whose sum
+    # with |z| passes the float range; warnings are errors in this suite
     p = make_params(1e15, 0.3)
-    z = np.array([complex(math.nan, 0.0), 0.5 + 0j, 0.5 + 0j])
-    a = np.array([1e-3 + 1e-3j, complex(math.inf, 1.0), 1e308 + 1e308j])
-    labels, counts, decided = plane._tile_steps(p, z, a, 50)
+    z = np.array([complex(math.nan, 0.0), 0.5 + 0j, -1.7e308 + 0j])
+    rho = np.array([1e-3, math.inf, 1.7e308])
+    labels, counts, decided = plane._tile_steps(p, z, rho, 50)
     assert not decided.any()
 
 
@@ -1011,13 +1012,30 @@ def ref_decision(p, z, max_iter):
     return max_iter + 1 if r.label is PointClass.UNDECIDED else r.n
 
 
+def tile_holds(p, z, rho, points, max_iter):
+    """Whether the disk |w - z| <= rho, stepped as a one-element
+    _tile_steps call, is decided, after asserting that a decided tile
+    carries the reference label and count of each of the points, which lie
+    in the disk."""
+    labels, counts, decided = plane._tile_steps(
+        p, np.array([complex(z)]), np.array([rho]), max_iter)
+    if decided[0]:
+        for w in points:
+            r = ref_classify_point(p, w, max_iter)
+            assert (plane._POINT_CLASSES[labels[0]], counts[0]) == (r.label, r.n), \
+                (p, z, rho, w)
+    return bool(decided[0])
+
+
 def test_quiet_steps_hold_points_a_rounding_from_a_decision():
     # on the fixed ray of theta = 0 the float step is increasing, so the
     # first decision step of x is monotone on each side of the fixed point
     # 1/K^2; bisect for the float w nearest the fixed point that decides by
     # step d, whose orbit crosses a radius at step d by about a rounding,
-    # and centre a disk of exact radius on a float 1 to 4 ulps nearer
+    # and centre a disk of exact radius on a float 1 to 4 ulps nearer; the
+    # same disk as a tile must carry the decisions of both points
     rng = random.Random(94)
+    tiles = 0
     for _ in range(150):
         K = rng.choice((1.0 + 1e-6, 10 ** rng.uniform(0.0, 3.0)))
         p = make_params(K, 0.0)
@@ -1034,14 +1052,21 @@ def test_quiet_steps_hold_points_a_rounding_from_a_decision():
         for _ in range(rng.randint(1, 4)):
             z = math.nextafter(z, near)
         q = plane._quiet_steps(p, complex(z), abs(far - z), max_iter)
-        assert q <= ref_decision(p, far, max_iter), (p, far, z)
+        d = ref_decision(p, far, max_iter)
+        assert q <= d, (p, far, z)
+        # no tile decides by max_iter here, but most are quiet through d - 1
+        for n in (max_iter, d - 1):
+            tiles += tile_holds(p, z, abs(far - z), (far, z), n)
+    assert tiles >= 100
 
 
 def test_quiet_steps_hold_points_far_from_the_centre():
     # on the fixed ray of theta = 0, where the bound on |H(w) - H(z)| is
     # attained, a float w within 1e-6 relative of a preimage of either
-    # radius and a centre z up to 1e-2 relative away, at the exact radius
+    # radius and a centre z up to 1e-2 relative away, at the exact radius;
+    # the same disk as a tile must carry the decisions of both points
     rng = random.Random(95)
+    tiles = 0
     for _ in range(3000):
         K = rng.choice((1.0 + 1e-6, 10 ** rng.uniform(0.0, 3.0)))
         p = make_params(K, 0.0)
@@ -1052,6 +1077,8 @@ def test_quiet_steps_hold_points_far_from_the_centre():
         z = w + rng.choice((-1.0, 1.0)) * x * 10 ** rng.uniform(-15.0, -2.0)
         q = plane._quiet_steps(p, complex(z), abs(w - z), 80)  # exact radius
         assert q <= min(ref_decision(p, w, 80), ref_decision(p, z, 80)), (p, w, z)
+        tiles += tile_holds(p, z, abs(w - z), (w, z), 80)
+    assert tiles >= 1000
 
 
 @functools.lru_cache(maxsize=1)
@@ -1099,7 +1126,7 @@ def test_certificate_idle_on_whole_set_windows():
 
 
 def test_tiles_decide_most_of_the_wide_catalogue():
-    # 83.3% of the 4,947,968 pixels of the render-wide catalogue; the bits
+    # 81.6% of the 4,947,968 pixels of the render-wide catalogue; the bits
     # of every render are checked against bench/digests.json elsewhere
     iterated = []
     classify_block = plane._classify_block
