@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import TAU, MapParams, require_count
+from .core import TAU, MapParams, modulus, require_count
 from .rays import Regime, Stability, fixed_rays
 from .errors import InvalidParameter, NoBasin
 
@@ -31,7 +31,7 @@ def blaschke_of_params(p: MapParams) -> BlaschkeMap:
 
 
 def blaschke_apply(B: BlaschkeMap, z: complex) -> complex:
-    if not abs(z) <= 1.0 + 1e-9:  # nan fails too
+    if not modulus(z) <= 1.0 + 1e-9:  # nan fails too
         raise InvalidParameter(f"blaschke_apply needs |z| <= 1, got z={z!r}")
     z2 = z * z
     return (z2 + B.mu) / (1.0 + B.mu.conjugate() * z2)

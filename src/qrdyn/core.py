@@ -48,6 +48,15 @@ def require_finite(fn: str, name: str, x: float) -> None:
         raise InvalidParameter(f"{fn} needs a finite {name}, got {name}={x!r}")
 
 
+def modulus(z: complex) -> float:
+    """|z|, inf where it passes the float range, in which case Python's
+    abs raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def circle_dist(a: float, b: float) -> float:
     """Distance between two angles on the circle, always <= pi;
     InvalidParameter naming a and b unless a - b is finite."""
@@ -95,7 +104,7 @@ class MapParams:
 
     def __post_init__(self):
         _require_stretch(self.K, self.theta)
-        if not abs(self.mu) < 1.0:  # nan fails too
+        if not modulus(self.mu) < 1.0:  # nan fails too
             raise InvalidParameter(f"MapParams needs |mu| < 1, got mu={self.mu!r}")
 
 
@@ -110,7 +119,7 @@ def make_params(K: float, theta: float) -> MapParams:
 
 def params_of_mu(mu: complex) -> MapParams:
     """Invert mu = e^{2 i theta}(K-1)/(K+1); requires 0 < |mu| < 1."""
-    m = abs(mu)
+    m = modulus(mu)
     if m == 0.0:
         raise InvalidParameter("mu = 0 is the holomorphic case z^2, excluded")
     if m >= 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, eval_H, radial_stretch, require_count
+from .core import MapParams, eval_H, modulus, radial_stretch, require_count
 from .circle import require_fixed_angle
 from .errors import InvalidParameter
 
@@ -29,12 +29,11 @@ MAX_ITER = np.iinfo(np.int32).max  # the most the int32 counts hold
 # over 8192-pixel blocks.  32768-pixel blocks were no faster on boundary
 # zooms, and their buffers page-fault in afresh on every render.
 BLOCK_PIXELS = 16384
-# Sides of the tiles of a whole-set render's tile pass, largest first, each
-# a multiple of the next: the image is covered with tiles of the first side,
-# and a tile that fails is split into tiles of the next.  A 4-pixel level
-# behind costs more tile steps than the pixel steps it saves.
-TILE_SIDES = (16, 8)
-# Pixels of the failed tiles classified together, at most.  They lie near
+# Pixels a side of the cells of a whole-set render's tile pass.  8 x 8
+# cells alone were as fast as 16 x 16 tiles split into 8 x 8 ones on
+# failure, and a level of 4 x 4 cells behind them was slower.
+CELL = 8
+# Pixels of the failed cells classified together, at most.  They lie near
 # the boundary and most stay active for the first steps, so the kernel's
 # compaction holds more of them than of a row block; at 7/8 of a block, a
 # 1024^2 whole-set render peaks at no more memory than the row blocks do.
@@ -170,8 +169,8 @@ def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
     for the float orbit w_n of every point of the disk.  Step n is quiet
     when |z_n| - rho_n > r_attract (1 + 1e-9) and |z_n| + rho_n <
     2 (1 - 1e-9); the margins cover the rounding of |.| and of the sums.
-    A NaN or inf in z_n or rho_n fails the test, so such a step is never
-    certified.  The radius grows, by _disk_step, as
+    A NaN or inf in z_n, |z_n| or rho_n fails the test, so such a step is
+    never certified.  The radius grows, by _disk_step, as
 
         rho_{n+1} = (L rho_n + eps (2 |z_{n+1}| + L rho_n)) (1 + 2^-40),
         L = K (2 |h(z_n)| (1 + eps) + K rho_n),  eps = 8 (K + 4) 2^-53:
@@ -192,7 +191,8 @@ def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
       c and mu (h's norm is K to a few ulps) and of this recurrence.
     """
     lo, hi = r_attract(p) * (1.0 + 1e-9), R_ESCAPE * (1.0 - 1e-9)
-    m = abs(z)
+    z, rho = complex(z), float(rho)
+    m = modulus(z)
     for n in range(max_iter + 1):
         if not (m - rho > lo and m + rho < hi):
             return n
@@ -289,85 +289,23 @@ def _tile_steps(p: MapParams, z: np.ndarray, rho: np.ndarray, max_iter: int):
     return labels, counts, decided
 
 
-def _tile_rects(xs: np.ndarray, ys: np.ndarray, side: int, ti: np.ndarray,
-                tj: np.ndarray):
-    """(z, rho) of _tile_steps for the tiles of side pixels at tile row ti
-    and column tj of the grid of pixels xs[j] + 1j ys[i], clipped to the
-    grid: the disk of the half-diagonal around the centre z of the
-    rectangle of a tile's corner pixels, which holds the tile's pixels as
-    xs and ys are monotone.  Each part of z rounds the corners' midpoint by
-    less than 2^-53 of the larger corner, which the 8 (2^-53) term of each
-    half-side covers, plus 2^-1074 where halving a subnormal rounds, which
-    the 2^-1073 term covers; the factor 1 + 1e-12 covers the rounding of
-    the half-sides and of |.|.  The sides are finite, so none overflows."""
-
-    def spans(v):
-        """Centre and half-side of each tile's span of v."""
-        ends = v[np.minimum(np.arange(side, v.size + side, side), v.size) - 1]
-        lo, hi = np.minimum(v[::side], ends), np.maximum(v[::side], ends)
-        return (lo / 2.0 + hi / 2.0,
-                hi / 2.0 - lo / 2.0 + 8.0 * 2.0 ** -53 * np.maximum(-lo, hi)
-                + 2.0 ** -1073)
-
-    (cx, hx), (cy, hy) = spans(xs), spans(ys)
-    return cx[tj] + 1j * cy[ti], np.hypot(hx[tj], hy[ti]) * (1.0 + 1e-12)
-
-
-def _split(ti: np.ndarray, tj: np.ndarray, k: int):
-    """Tile rows and columns of the k x k tiles of a k-th of the side into
-    which the tiles (ti, tj) split."""
-    d = np.arange(k)
-    return (ti[:, None] * k + d.repeat(k)).ravel(), (tj[:, None] * k + np.tile(d, k)).ravel()
-
-
 def _tile_pass(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
-    """(labels, counts, failed) of the cells of TILE_SIDES[-1] pixels a
-    side of the grid of pixels xs[j] + 1j ys[i], indexed (row, column) on
-    the grid padded to whole tiles of TILE_SIDES[0] pixels.
+    """(labels, counts, failed) of the cells of CELL x CELL pixels of the
+    grid of pixels xs[j] + 1j ys[i], indexed (row, column) of cells, those
+    of the last row and column clipped to the grid.  All the cells are run
+    through _tile_steps together, each in the _rect_disk of its corner
+    pixels, which holds its pixels as xs and ys are monotone; the pixels of
+    a failed cell (label 0, count max_iter) are left to _classify_block."""
 
-    Tiles of each side in TILE_SIDES are run through _tile_steps in turn,
-    all tiles of a side together: first those covering the grid, then the
-    tiles into which each failed tile splits.  Each tile gives its label
-    and count to its cells, a failed one label 0 and count max_iter; the
-    cells of a tile that fails at the last side are failed, and their
-    pixels are left to _classify_block."""
-    cell, side = TILE_SIDES[-1], TILE_SIDES[0]
-    tiles = (-(-ys.size // side), -(-xs.size // side))
-    shape = (tiles[0] * (side // cell), tiles[1] * (side // cell))
-    labels = np.empty(shape, np.uint8)
-    counts = np.empty(shape, np.int32)
-    ti, tj = (t.ravel() for t in np.indices(tiles))
-    for prev, side in zip((side,) + TILE_SIDES, TILE_SIDES):
-        if prev > side:
-            ti, tj = _split(ti, tj, prev // side)
-            inside = (ti * side < ys.size) & (tj * side < xs.size)
-            ti, tj = ti[inside], tj[inside]
-        lab, cnt, ok = _tile_steps(p, *_tile_rects(xs, ys, side, ti, tj), max_iter)
-        # the first side's tiles cover every cell
-        ci, cj = _split(ti, tj, side // cell)
-        labels[ci, cj] = lab.repeat((side // cell) ** 2)
-        counts[ci, cj] = cnt.repeat((side // cell) ** 2)
-        ti, tj = ti[~ok], tj[~ok]
-    failed = np.zeros(shape, bool)
-    failed[ti, tj] = True
-    return labels, counts, failed
+    def ends(v):
+        """The first and the last of each cell's span of v."""
+        last = np.minimum(np.arange(CELL, v.size + CELL, CELL), v.size) - 1
+        return v[::CELL], v[last]
 
-
-def _failed_pixels(failed: np.ndarray, top: int, bottom: int, nx: int):
-    """(i, j), in cell order, of the pixels of the grid's rows top ..
-    bottom - 1 that lie in failed cells of _tile_pass; top is the first row
-    of a cell."""
-    cell = TILE_SIDES[-1]
-    ci, cj = np.nonzero(failed[top // cell:(bottom - 1) // cell + 1])
-    d = np.arange(cell)
-    # each cell's rows, each repeated for the cell's columns, and its columns
-    i = ((ci[:, None] + top // cell) * cell + d).repeat(cell, axis=1).ravel()
-    j = np.tile(cj[:, None] * cell + d, cell).ravel()
-    keep = (i < bottom) & (j < nx)  # all but in the ragged last cells
-    if not keep.all():
-        i = i[keep]
-        j = j[keep]
-    return i, j
+    (x0, x1), (y0, y1) = ends(xs), ends(ys)
+    z, rho = _rect_disk(x0[None, :], x1[None, :], y0[:, None], y1[:, None])
+    labels, counts, decided = _tile_steps(p, z.ravel(), rho.ravel(), max_iter)
+    return tuple(a.reshape(z.shape) for a in (labels, counts, ~decided))
 
 
 def _row_blocks(nx: int, ny: int) -> list[slice]:
@@ -380,16 +318,20 @@ def _row_blocks(nx: int, ny: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, ny, rows)]
 
 
-def _disk(x0, x1, y0, y1) -> tuple[complex, float]:
-    """A disk (z, rho) holding every float x + 1j y with x between the
-    floats x0 and x1 and y between y0 and y1: the rectangle's
-    half-diagonal around its centre z, which rounding moves by less than
-    2^-53 |z| in each part."""
-    x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
-    z = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    rho = (math.hypot((x1 - x0) / 2.0, (y1 - y0) / 2.0) * (1.0 + 1e-12)
-           + 4.0 * 2.0 ** -53 * abs(z))
-    return z, rho
+def _rect_disk(x0, x1, y0, y1):
+    """A disk (z, rho) holding every float x + 1j y with x between x0 and
+    x1 and y between y0 and y1, for floats or broadcasting numpy arrays:
+    the rectangle's half-diagonal around its centre z, finite for finite
+    ends, as each part of z halves the ends before it adds them.  That sum
+    rounds by less than 2^-53 of the larger end, which the 8 (2^-53) term
+    of each half-side covers, plus 2^-1074 where halving a subnormal
+    rounds, which the 2^-1073 term covers; the factor 1 + 1e-12 covers the
+    rounding of the half-sides and of |.|."""
+    ends = [(np.minimum(a, b), np.maximum(a, b)) for a, b in ((x0, x1), (y0, y1))]
+    cx, cy = (lo / 2.0 + hi / 2.0 for lo, hi in ends)
+    hx, hy = (hi / 2.0 - lo / 2.0 + 8.0 * 2.0 ** -53 * np.maximum(-lo, hi) + 2.0 ** -1073
+              for lo, hi in ends)
+    return cx + 1j * cy, np.hypot(hx, hy) * (1.0 + 1e-12)
 
 
 def _classify_rows(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
@@ -413,7 +355,7 @@ def _classify_rows(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
         start = rows.start * nx
         _classify_block(p, wb, np.arange(start, start + lab.size), max_iter,
                         flat_labels, flat_counts, scratch,
-                        *_disk(xs[0], xs[-1], yb[0], yb[-1]))
+                        *_rect_disk(xs[0], xs[-1], yb[0], yb[-1]))
     return labels, counts
 
 
@@ -422,47 +364,46 @@ def _classify_tiles(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int)
     _tile_pass, with only the pixels of its failed cells iterated.
 
     Each row of the grid takes the labels and counts of its cells.  Then
-    the rows of cells are taken in batches, each of the most rows, one at
-    least, whose failed cells hold at most BATCH_PIXELS pixels, and the
-    failed pixels of a batch are classified by _classify_block together,
-    so that numpy's per-call cost is paid once for up to a batch of
-    them."""
+    the failed cells are taken in row-major order, BATCH_PIXELS // CELL^2
+    at a time (one at least), and the pixels of a batch are classified by
+    _classify_block together, in the disk of the rows of cells it spans:
+    numpy's per-call cost is paid once for up to a batch of them."""
     nx, ny = xs.size, ys.size
     cell_labels, cell_counts, failed = _tile_pass(p, xs, ys, max_iter)
     labels = np.empty((ny, nx), dtype=np.uint8)
     counts = np.empty((ny, nx), dtype=np.int32)
-    cell = TILE_SIDES[-1]
-    # the failed pixels of each row of cells of the grid, at most
-    held = (np.count_nonzero(failed[:-(-ny // cell)], axis=1) * (cell * cell)).tolist()
-    for k in range(len(held)):
-        labels[k * cell:k * cell + cell] = cell_labels[k].repeat(cell)[:nx]
-        counts[k * cell:k * cell + cell] = cell_counts[k].repeat(cell)[:nx]
+    for k in range(failed.shape[0]):
+        labels[k * CELL:k * CELL + CELL] = cell_labels[k].repeat(CELL)[:nx]
+        counts[k * CELL:k * CELL + CELL] = cell_counts[k].repeat(CELL)[:nx]
     del cell_labels, cell_counts
-    size = max(min(BATCH_PIXELS, sum(held)), max(held))
+    ci, cj = np.nonzero(failed)
+    batch = max(1, BATCH_PIXELS // (CELL * CELL))
+    size = min(batch, ci.size) * CELL * CELL
     w, scratch = np.empty(size, complex), _scratch(size)
     flat_labels, flat_counts = labels.reshape(-1), counts.reshape(-1)
     # xs[j] + 1j ys[i] is built as _classify_rows builds it, from complex
     # copies gathered into buffers, so that no float is cast on the way
     xc, iy = xs.astype(complex), 1j * ys
-    k = 0
-    while k < len(held):
-        first, n = k, held[k]
-        k += 1
-        while k < len(held) and n + held[k] <= size:
-            n += held[k]
-            k += 1
-        top, bottom = first * cell, min(k * cell, ny)
-        i, j = _failed_pixels(failed, top, bottom, nx)
-        if i.size:
-            wb, xb = w[:i.size], scratch[0][:i.size]
-            np.take(iy, i, out=wb, mode="clip")  # "raise" would buffer out
-            np.take(xc, j, out=xb, mode="clip")
-            wb += xb
-            idx = i * nx
-            idx += j
-            del i, j  # a batch holds only w, idx and the scratch
-            _classify_block(p, wb, idx, max_iter, flat_labels, flat_counts,
-                            scratch, *_disk(xs[0], xs[-1], ys[top], ys[bottom - 1]))
+    d = np.arange(CELL)
+    for k in range(0, ci.size, batch):
+        bi, bj = ci[k:k + batch], cj[k:k + batch]
+        # each cell's rows, each repeated for the cell's columns, and its
+        # columns, less those past the ragged last cells
+        i = (bi[:, None] * CELL + d).repeat(CELL, axis=1).ravel()
+        j = np.tile(bj[:, None] * CELL + d, CELL).ravel()
+        keep = (i < ny) & (j < nx)
+        if not keep.all():
+            i, j = i[keep], j[keep]
+        wb, xb = w[:i.size], scratch[0][:i.size]
+        np.take(iy, i, out=wb, mode="clip")  # "raise" would buffer out
+        np.take(xc, j, out=xb, mode="clip")
+        wb += xb
+        idx = i * nx
+        idx += j
+        top, bottom = bi[0] * CELL, min(bi[-1] * CELL + CELL, ny)
+        del i, j, keep  # a batch holds only w, idx and the scratch
+        _classify_block(p, wb, idx, max_iter, flat_labels, flat_counts,
+                        scratch, *_rect_disk(xs[0], xs[-1], ys[top], ys[bottom - 1]))
     return labels, counts
 
 
@@ -476,7 +417,7 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     but the last, are classified in turn by _classify_block, on buffers
     sized for the first.  Otherwise that disk reaches a certifying radius
     at once, as for a window holding the whole set: _tile_pass decides
-    whole tiles, and _classify_block iterates only the pixels of the tiles
+    whole cells, and _classify_block iterates only the pixels of the cells
     that fail (_classify_tiles).  The work runs in the calling thread, and
     the result depends only on the arguments, not on the path taken, the
     block or batch layout, the core count or the environment.
@@ -493,7 +434,7 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
 
     # each pixel is exactly xs[j] + 1j ys[i], inside the rectangle of the
     # window's corner pixels
-    if _quiet_steps(p, *_disk(xs[0], xs[-1], ys[0], ys[-1]), 0):
+    if _quiet_steps(p, *_rect_disk(xs[0], xs[-1], ys[0], ys[-1]), 0):
         labels, counts = _classify_rows(p, xs, ys, max_iter)
     else:
         labels, counts = _classify_tiles(p, xs, ys, max_iter)

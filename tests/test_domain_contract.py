@@ -30,8 +30,8 @@ from qrdyn import QrdynError
 KS = (1.0 + 1e-12, 1.5, 2.0, 3.0, 1e6, 1e15)
 THETAS = (0.0, 1e-300, -0.3, math.pi, 1e300)
 ANGLES = (0.0, 1e-300, math.pi, -math.pi, 1e300, math.nan, math.inf, -math.inf)
-ZS = (0j, 1e-300 + 0j, 0.3 + 0.4j, 1e300 * (1 + 1j), complex(math.nan, 0.0),
-      complex(math.inf, 0.0))
+ZS = (0j, 1e-300 + 0j, 0.3 + 0.4j, 1e300 * (1 + 1j), 1.7e308 * (1 + 1j),
+      complex(math.nan, 0.0), complex(math.inf, 0.0))
 COUNTS = (-1, 0, 1, 2.5, np.int64(2), 10 ** 20)
 
 EXEMPT = {
@@ -209,10 +209,9 @@ def test_counts_are_range_checked_in_core_require_count_alone():
                      ("operator.index", "core.py", "require_count")}
 
 
-def growth_factor_functions(tree: ast.AST) -> set[str]:
+def power_functions(tree: ast.AST, value: float) -> set[str]:
     """The functions of a module's tree with a power of two constants equal
-    to 2.0 ** -40, the factor by which the certificate's radius recurrence
-    covers its rounding, however it is spelled (2 ** -40, 0.5 ** 40)."""
+    to value, however it is spelled (2 ** -40, 0.5 ** 40)."""
 
     def constant(node):
         try:
@@ -220,19 +219,32 @@ def growth_factor_functions(tree: ast.AST) -> set[str]:
         except ValueError:
             return None
 
-    def growth_factor(node):
+    def power(node):
         if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
             return False
         base, exp = constant(node.left), constant(node.right)
         return isinstance(base, (int, float)) and isinstance(exp, (int, float)) \
-            and base ** exp == 2.0 ** -40
+            and base ** exp == value
 
-    return {fn for node, fn in nodes_in_functions(tree) if growth_factor(node)}
+    return {fn for node, fn in nodes_in_functions(tree) if power(node)}
+
+
+def plane_tree() -> ast.AST:
+    """The parsed source of qrdyn's plane module."""
+    path = SRC / "plane.py"
+    return ast.parse(path.read_text(), str(path))
 
 
 def test_plane_has_one_radius_recurrence():
     # a second certificate of the plane kernel, with a recurrence of its
-    # own, fails here: _quiet_steps and _tile_steps share _disk_step
-    path = SRC / "plane.py"
-    assert growth_factor_functions(ast.parse(path.read_text(), str(path))) == {
-        "_disk_step"}
+    # own, fails here: _quiet_steps and _tile_steps share _disk_step, whose
+    # factor 2.0 ** -40 covers the recurrence's rounding
+    assert power_functions(plane_tree(), 2.0 ** -40) == {"_disk_step"}
+
+
+def test_plane_has_one_rectangle_disk():
+    # a second disk holding a rectangle of pixels, with rounding terms of
+    # its own, fails here: the window gate, the row blocks, the failed-cell
+    # batches and the cells all take _rect_disk, whose 2.0 ** -1073 covers
+    # the halving of a subnormal
+    assert power_functions(plane_tree(), 2.0 ** -1073) == {"_rect_disk"}

@@ -47,12 +47,12 @@ arithmetic that changed:
   plane._quiet_steps certifies for a disk holding the block: the same
   labels and counts, bit for bit, and no certified step at or past the
   first decision in the reference of a pixel the block iterates;
-- render_grid first decides whole tiles by plane._tile_pass when no step
-  of the window's disk is quiet, stepping a disk holding each tile by the
+- render_grid first decides whole cells by plane._tile_pass when no step
+  of the window's disk is quiet, stepping a disk holding each cell by the
   recurrence of plane._quiet_steps, and iterates only the pixels of the
-  tiles that fail, each written at the position _classify_block is given:
+  cells that fail, each written at the position _classify_block is given:
   the same labels and counts, bit for bit, also with the tile pass forced
-  on every window and with tiles down to one pixel.
+  on every window and with cells of 8, 4, 2 and one pixel a side.
 """
 
 import cmath
@@ -867,7 +867,7 @@ class Certified:
     grid: PlaneGrid
     gate: int      # _quiet_steps of the window's disk, through step 0
     calls: list    # (pixels iterated, horizon) of each _classify_block call
-    tiles: int     # tiles stepped by _tile_steps
+    tiles: int     # cells stepped by _tile_steps
 
 
 def certified_render(p, window, resolution, max_iter):
@@ -965,10 +965,10 @@ def test_render_grid_bit_identical_on_ragged_whole_set_grids(resolution):
         assert certified_render(p, window, resolution, max_iter).tiles > 0, name
 
 
-def forced_tile_renders(sides):
+def forced_tile_renders(cell):
     """The windows of KERNEL_RENDERS and RADIUS_WINDOWS on 32 x 32 and
     48 x 17 grids, rendered with no step quiet, so that every one goes
-    through the tile pass, on tiles of the given sides: the names of those
+    through the tile pass, on cells of the given side: the names of those
     that differ from the reference."""
     cases = dict(KERNEL_RENDERS)
     for i, (p, window, _, max_iter) in enumerate(RADIUS_WINDOWS):
@@ -977,7 +977,7 @@ def forced_tile_renders(sides):
     differ = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plane, "_quiet_steps", lambda *args: 0)
-        mp.setattr(plane, "TILE_SIDES", sides)
+        mp.setattr(plane, "CELL", cell)
         for name, (p, window, resolution, max_iter) in cases.items():
             g = render_grid(p, window, resolution, max_iter)
             labels, counts = ref_render_labels_counts(p, window, resolution, max_iter)
@@ -986,13 +986,15 @@ def forced_tile_renders(sides):
     return differ
 
 
-@pytest.mark.parametrize("sides", [(16, 8), (4, 2, 1)])
-def test_tile_pass_bit_identical_on_every_window_when_forced(sides):
-    # on a window centred on a radial fixed point a tile stays quiet for
+@pytest.mark.parametrize("cell", [8, 4, 2, 1])
+def test_tile_pass_bit_identical_on_every_window_when_forced(cell):
+    # on a window centred on a radial fixed point a cell stays quiet for
     # tens of steps, over which the rounding of the float orbits grows past
     # the radii's margins: without the rounding terms of _disk_step and
-    # _tile_rects, 2 and 12 of these renders differ (with either kept, none)
-    assert forced_tile_renders(sides) == []
+    # _rect_disk, 2, 4 and 11 of these renders differ on cells of 8, 4 and 2
+    # pixels (with either kept, none; on one-pixel cells none, as each disk
+    # is then a pixel stepped exactly as the kernel steps it)
+    assert forced_tile_renders(cell) == []
 
 
 def test_tile_steps_fail_overflowing_tiles_silently():
@@ -1003,6 +1005,19 @@ def test_tile_steps_fail_overflowing_tiles_silently():
     rho = np.array([1e-3, math.inf, 1.7e308])
     labels, counts, decided = plane._tile_steps(p, z, rho, 50)
     assert not decided.any()
+
+
+def test_rect_disk_stays_finite_near_the_float_limit():
+    # the corners' sum passes the float range, their halves' sum does not;
+    # a one-element array gives the bits of the float call
+    z, rho = plane._rect_disk(1.5e308, 1.6e308, 0.0, 1.0)
+    assert z == 1.55e308 + 0.5j and math.isfinite(rho)
+    for x in (1.5e308, 1.6e308):
+        for y in (0.0, 1.0):
+            assert abs(complex(x, y) - z) <= rho
+    za, rhoa = plane._rect_disk(*(np.array([v]) for v in (1.5e308, 1.6e308, 0.0, 1.0)))
+    assert za.tobytes() == np.complex128(z).tobytes()
+    assert rhoa.tobytes() == np.float64(rho).tobytes()
 
 
 def ref_decision(p, z, max_iter):

@@ -328,7 +328,7 @@ BLOCK_LAYOUT_CASES = {
 def test_render_is_independent_of_the_block_layout(tmp_path, monkeypatch, name):
     # one row a block, the earlier and the current block size, and the whole
     # grid as one block give the same labels, counts and output bytes; so
-    # do batches of failed tiles of these sizes on the whole-set window
+    # do batches of failed cells of these sizes on the whole-set window
     case = BLOCK_LAYOUT_CASES[name]
     nx, ny = case[3]
     outputs = {}
@@ -552,10 +552,10 @@ def test_write_ppm_holds_one_block(tmp_path):
 
 def test_render_grid_holds_one_block():
     # a whole-set window goes through the tile pass, and the pixels of the
-    # failed tiles are gathered and classified one batch at a time, beside
+    # failed cells are gathered and classified one batch at a time, beside
     # the 5 MiB grid (1 M uint8 labels and int32 counts): a whole-image mask
     # would add 1 MiB, an intp position or code array 8 MiB.  This peaks at
-    # 6.31 MiB, and the row blocks, on this window, at 6.34 MiB.
+    # 6.36 MiB, and the row blocks, on this window, at 6.46 MiB.
     p = make_params(3.0, 0.4)
     window = Window(0j, 3.0, 3.0)
     render_grid(p, window, 64, 200)
