@@ -21,7 +21,8 @@ from .errors import InvalidParameter
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
 MAX_ITER = np.iinfo(np.int32).max  # the most the int32 counts hold
-# Pixels of the largest row block.  The kernel's step makes no temporaries,
+# Pixels of the largest row block, the cell of a boundary zoom and the unit
+# in which write_ppm colours an image.  The kernel's step makes no temporaries,
 # so a pixel's arithmetic does not depend on its block, and the block size
 # sets only how often numpy's fixed per-call cost is paid.  At about 68 B a
 # pixel (w, t, u, m, idx and the masks) a block's working set of about
@@ -33,10 +34,11 @@ BLOCK_PIXELS = 16384
 # cells alone were as fast as 16 x 16 tiles split into 8 x 8 ones on
 # failure, and a level of 4 x 4 cells behind them was slower.
 CELL = 8
-# Pixels of the failed cells classified together, at most.  They lie near
-# the boundary and most stay active for the first steps, so the kernel's
-# compaction holds more of them than of a row block; at 7/8 of a block, a
-# 1024^2 whole-set render peaks at no more memory than the row blocks do.
+# Pixels of the failed CELL x CELL cells classified together, at most.  They
+# lie near the boundary and most stay active for the first steps, so the
+# kernel's compaction holds more of them than of a row block; at 7/8 of a
+# block a 1024^2 whole-set render peaks at 6.34 MiB, at a whole block at
+# 6.51 MiB.
 BATCH_PIXELS = 14336
 
 
@@ -108,9 +110,10 @@ class Window:
         if not (xmax > xmin and ymax > ymin):
             raise InvalidParameter(
                 f"window bounds must satisfy xmin < xmax, ymin < ymax, got {bounds}")
-        center = complex((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
+        # halved before they are added, as in _rect_disk, so that the centre
+        # of finite bounds is finite; the size may still overflow
+        center = complex(xmin / 2.0 + xmax / 2.0, ymin / 2.0 + ymax / 2.0)
         width, height = xmax - xmin, ymax - ymin
-        # the centre and size overflow for finite bounds near the float limit
         if not all(map(math.isfinite, (xmin, xmax, ymin, ymax, center.real,
                                        center.imag, width, height))):
             raise InvalidParameter(
@@ -290,22 +293,27 @@ def _tile_steps(p: MapParams, z: np.ndarray, rho: np.ndarray, max_iter: int):
 
 
 def _tile_pass(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
-    """(labels, counts, failed) of the cells of CELL x CELL pixels of the
-    grid of pixels xs[j] + 1j ys[i], indexed (row, column) of cells, those
-    of the last row and column clipped to the grid.  All the cells are run
-    through _tile_steps together, each in the _rect_disk of its corner
-    pixels, which holds its pixels as xs and ys are monotone; the pixels of
-    a failed cell (label 0, count max_iter) are left to _classify_block."""
-
-    def ends(v):
-        """The first and the last of each cell's span of v."""
-        last = np.minimum(np.arange(CELL, v.size + CELL, CELL), v.size) - 1
-        return v[::CELL], v[last]
-
-    (x0, x1), (y0, y1) = ends(xs), ends(ys)
-    z, rho = _rect_disk(x0[None, :], x1[None, :], y0[:, None], y1[:, None])
-    labels, counts, decided = _tile_steps(p, z.ravel(), rho.ravel(), max_iter)
-    return tuple(a.reshape(z.shape) for a in (labels, counts, ~decided))
+    """(labels, counts, cells) of the grid of pixels xs[j] + 1j ys[i] cut
+    into cells of CELL x CELL pixels, those of the last row and column
+    clipped to the grid.  All the cells are run through _tile_steps
+    together, each in the _rect_disk of its corner pixels, which holds its
+    pixels as xs increase and ys decrease.  Each pixel takes its cell's
+    label and count, label 0 and count max_iter in a failed cell, and
+    cells gives the failed cells as _classify_cells takes them."""
+    nx, ny = xs.size, ys.size
+    # the first pixel of each row and column of cells, and the grid's end
+    ex, ey = (np.append(np.arange(0, n, CELL), n) for n in (nx, ny))
+    disks = _rect_disk(xs[ex[:-1]], xs[ex[1:] - 1], ys[ey[1:, None] - 1], ys[ey[:-1, None]])
+    steps = _tile_steps(p, *(d.ravel() for d in disks), max_iter)
+    del disks  # before the grid is allocated
+    cell_labels, cell_counts, decided = (a.reshape(ey.size - 1, ex.size - 1) for a in steps)
+    labels = np.empty((ny, nx), dtype=np.uint8)
+    counts = np.empty((ny, nx), dtype=np.int32)
+    for a in range(ey.size - 1):
+        labels[ey[a]:ey[a + 1]] = cell_labels[a].repeat(CELL)[:nx]
+        counts[ey[a]:ey[a + 1]] = cell_counts[a].repeat(CELL)[:nx]
+    ci, cj = np.nonzero(~decided)
+    return labels, counts, (ey[ci], ex[cj], int(ey[1]), int(ex[1]))
 
 
 def _row_blocks(nx: int, ny: int) -> list[slice]:
@@ -319,108 +327,77 @@ def _row_blocks(nx: int, ny: int) -> list[slice]:
 
 
 def _rect_disk(x0, x1, y0, y1):
-    """A disk (z, rho) holding every float x + 1j y with x between x0 and
-    x1 and y between y0 and y1, for floats or broadcasting numpy arrays:
-    the rectangle's half-diagonal around its centre z, finite for finite
-    ends, as each part of z halves the ends before it adds them.  That sum
+    """A disk (z, rho) holding every float x + 1j y with x0 <= x <= x1 and
+    y0 <= y <= y1, for floats or broadcasting numpy arrays: the
+    rectangle's half-diagonal around its centre z, finite for finite ends,
+    as each part of z halves the ends before it adds them.  That sum
     rounds by less than 2^-53 of the larger end, which the 8 (2^-53) term
     of each half-side covers, plus 2^-1074 where halving a subnormal
     rounds, which the 2^-1073 term covers; the factor 1 + 1e-12 covers the
     rounding of the half-sides and of |.|."""
-    ends = [(np.minimum(a, b), np.maximum(a, b)) for a, b in ((x0, x1), (y0, y1))]
-    cx, cy = (lo / 2.0 + hi / 2.0 for lo, hi in ends)
+    cx, cy = x0 / 2.0 + x1 / 2.0, y0 / 2.0 + y1 / 2.0
     hx, hy = (hi / 2.0 - lo / 2.0 + 8.0 * 2.0 ** -53 * np.maximum(-lo, hi) + 2.0 ** -1073
-              for lo, hi in ends)
+              for lo, hi in ((x0, x1), (y0, y1)))
     return cx + 1j * cy, np.hypot(hx, hy) * (1.0 + 1e-12)
 
 
-def _classify_rows(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
-    """(labels, counts) of the grid of pixels xs[j] + 1j ys[i], each
-    _row_blocks block classified by _classify_block in turn, on buffers
-    sized for the first."""
-    nx, ny = xs.size, ys.size
-    labels = np.empty((ny, nx), dtype=np.uint8)
-    counts = np.empty((ny, nx), dtype=np.int32)
-    blocks = _row_blocks(nx, ny)
-    size = nx * blocks[0].stop  # pixels of the largest block
-    w, scratch = np.empty(size, complex), _scratch(size)
-    flat_labels, flat_counts = labels.reshape(-1), counts.reshape(-1)
-    for rows in blocks:
-        lab, cnt, yb = labels[rows], counts[rows], ys[rows]
-        lab.fill(0)
-        cnt.fill(max_iter)
-        wb = w[:lab.size]
-        np.add(xs[None, :], 1j * yb[:, None], out=wb.reshape(lab.shape))
-        # each pixel lies in the rectangle of the block's corners
-        start = rows.start * nx
-        _classify_block(p, wb, np.arange(start, start + lab.size), max_iter,
-                        flat_labels, flat_counts, scratch,
-                        *_rect_disk(xs[0], xs[-1], yb[0], yb[-1]))
-    return labels, counts
+def _classify_cells(p: MapParams, xs: np.ndarray, ys: np.ndarray, cells,
+                    labels: np.ndarray, counts: np.ndarray, max_iter: int) -> None:
+    """Classify the pixels of the failed cells of the grid of pixels
+    xs[j] + 1j ys[i] into labels and counts, which hold 0 and max_iter
+    there.  cells is (tops, lefts, h, wd): failed cell k holds the rows
+    tops[k]:tops[k] + h and the columns lefts[k]:lefts[k] + wd, clipped to
+    the grid, and the cells come in row-major order.
 
-
-def _classify_tiles(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
-    """(labels, counts) of the grid of pixels xs[j] + 1j ys[i] from
-    _tile_pass, with only the pixels of its failed cells iterated.
-
-    Each row of the grid takes the labels and counts of its cells.  Then
-    the failed cells are taken in row-major order, BATCH_PIXELS // CELL^2
-    at a time (one at least), and the pixels of a batch are classified by
+    The cells are taken in batches of at most BATCH_PIXELS pixels (one
+    cell at least), and the pixels of a batch are classified by
     _classify_block together, in the disk of the rows of cells it spans:
-    numpy's per-call cost is paid once for up to a batch of them."""
+    numpy's per-call cost is paid once for up to a batch of them.  Each
+    pixel is complex(xs[j], ys[i]): xs[j] + 1j ys[i] but for the sign of a
+    zero part, which no step's |w| sees."""
+    tops, lefts, h, wd = cells
     nx, ny = xs.size, ys.size
-    cell_labels, cell_counts, failed = _tile_pass(p, xs, ys, max_iter)
-    labels = np.empty((ny, nx), dtype=np.uint8)
-    counts = np.empty((ny, nx), dtype=np.int32)
-    for k in range(failed.shape[0]):
-        labels[k * CELL:k * CELL + CELL] = cell_labels[k].repeat(CELL)[:nx]
-        counts[k * CELL:k * CELL + CELL] = cell_counts[k].repeat(CELL)[:nx]
-    del cell_labels, cell_counts
-    ci, cj = np.nonzero(failed)
-    batch = max(1, BATCH_PIXELS // (CELL * CELL))
-    size = min(batch, ci.size) * CELL * CELL
-    w, scratch = np.empty(size, complex), _scratch(size)
+    batch = max(1, BATCH_PIXELS // (h * wd))
+    size = min(batch, tops.size) * h * wd
+    w, pos, scratch = np.empty(size, complex), np.empty(size, np.intp), _scratch(size)
     flat_labels, flat_counts = labels.reshape(-1), counts.reshape(-1)
-    # xs[j] + 1j ys[i] is built as _classify_rows builds it, from complex
-    # copies gathered into buffers, so that no float is cast on the way
-    xc, iy = xs.astype(complex), 1j * ys
-    d = np.arange(CELL)
-    for k in range(0, ci.size, batch):
-        bi, bj = ci[k:k + batch], cj[k:k + batch]
-        # each cell's rows, each repeated for the cell's columns, and its
-        # columns, less those past the ragged last cells
-        i = (bi[:, None] * CELL + d).repeat(CELL, axis=1).ravel()
-        j = np.tile(bj[:, None] * CELL + d, CELL).ravel()
-        keep = (i < ny) & (j < nx)
-        if not keep.all():
-            i, j = i[keep], j[keep]
-        wb, xb = w[:i.size], scratch[0][:i.size]
-        np.take(iy, i, out=wb, mode="clip")  # "raise" would buffer out
-        np.take(xc, j, out=xb, mode="clip")
-        wb += xb
-        idx = i * nx
-        idx += j
-        top, bottom = bi[0] * CELL, min(bi[-1] * CELL + CELL, ny)
-        del i, j, keep  # a batch holds only w, idx and the scratch
-        _classify_block(p, wb, idx, max_iter, flat_labels, flat_counts,
-                        scratch, *_rect_disk(xs[0], xs[-1], ys[top], ys[bottom - 1]))
-    return labels, counts
+    ragged = ny % h or nx % wd  # whether some cells are clipped
+    tops, lefts = tops[:, None, None], lefts[:, None, None]
+    dy, dx = np.arange(h)[:, None], np.arange(wd)
+    for k in range(0, tops.shape[0], batch):
+        # the rows and columns of the batch's cells, those past the grid
+        # included, broadcast to their pixels
+        i, j = tops[k:k + batch] + dy, lefts[k:k + batch] + dx
+        shape = (i.shape[0], h, wd)
+        wb, idx = w[:i.size * wd], pos[:i.size * wd]
+        pixels = wb.reshape(shape)
+        pixels.real, pixels.imag = xs.take(j, mode="clip"), ys.take(i, mode="clip")
+        np.add(i * nx, j, out=idx.reshape(shape))
+        if ragged and (i[-1, -1, 0] >= ny or j.max() >= nx):
+            keep = ((i < ny) & (j < nx)).reshape(-1)
+            wb, idx = wb[keep], idx[keep]
+        _classify_block(p, wb, idx, max_iter, flat_labels, flat_counts, scratch,
+                        *_rect_disk(xs[0], xs[-1], ys[min(i[-1, -1, 0], ny - 1)],
+                                    ys[i[0, 0, 0]]))
 
 
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
     """Classify every pixel of a grid over the window; resolution is one
     integer side or a pair (nx, ny) of them.
 
-    When the disk holding the window is quiet at step 0 (_quiet_steps), as
-    for a zoom into the boundary, the grid's _row_blocks, the fewest blocks
-    of whole rows of at most BLOCK_PIXELS pixels, all as tall as the first
-    but the last, are classified in turn by _classify_block, on buffers
-    sized for the first.  Otherwise that disk reaches a certifying radius
-    at once, as for a window holding the whole set: _tile_pass decides
-    whole cells, and _classify_block iterates only the pixels of the cells
-    that fail (_classify_tiles).  The work runs in the calling thread, and
-    the result depends only on the arguments, not on the path taken, the
-    block or batch layout, the core count or the environment.
+    The grid is cut into cells, and the pixels of every cell that is not
+    decided whole are classified by _classify_block, a batch of cells at a
+    time (_classify_cells).  When the disk holding the window is quiet at
+    step 0 (_quiet_steps), as for a zoom into the boundary, the cells are
+    the grid's _row_blocks, the fewest blocks of whole rows of at most
+    BLOCK_PIXELS pixels, and none is decided whole; a block of a grid of
+    several holds over BLOCK_PIXELS / 2 > BATCH_PIXELS / 2 pixels, so each
+    batch is one block.  Otherwise that disk reaches a certifying radius at
+    once, as for a window holding the whole set, and the cells are
+    CELL x CELL pixels, each decided whole by _tile_pass where it can.
+    The work runs in the calling thread, and the result depends only on
+    the arguments, not on the cells, the batches, the core count or the
+    environment.
     """
     max_iter = require_count("render_grid", "max_iter", max_iter, 1, MAX_ITER)
     if not (isinstance(resolution, (tuple, list)) and len(resolution) == 2):
@@ -432,12 +409,17 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     ys = window.center.imag + window.height * ((np.arange(ny) + 0.5) / ny - 0.5)
     ys = ys[::-1]  # row 0 is the top of the image
 
-    # each pixel is exactly xs[j] + 1j ys[i], inside the rectangle of the
-    # window's corner pixels
-    if _quiet_steps(p, *_rect_disk(xs[0], xs[-1], ys[0], ys[-1]), 0):
-        labels, counts = _classify_rows(p, xs, ys, max_iter)
+    # each pixel is xs[j] + 1j ys[i], inside the rectangle of the window's
+    # corner pixels
+    if _quiet_steps(p, *_rect_disk(xs[0], xs[-1], ys[-1], ys[0]), 0):
+        blocks = _row_blocks(nx, ny)
+        tops = np.array([rows.start for rows in blocks])
+        cells = tops, np.zeros_like(tops), blocks[0].stop, nx
+        labels = np.zeros((ny, nx), dtype=np.uint8)
+        counts = np.full((ny, nx), max_iter, dtype=np.int32)
     else:
-        labels, counts = _classify_tiles(p, xs, ys, max_iter)
+        labels, counts, cells = _tile_pass(p, xs, ys, max_iter)
+    _classify_cells(p, xs, ys, cells, labels, counts, max_iter)
     return PlaneGrid(window=window, resolution=(nx, ny), labels=labels,
                      counts=counts, max_iter=max_iter)
 

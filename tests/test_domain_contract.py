@@ -244,7 +244,17 @@ def test_plane_has_one_radius_recurrence():
 
 def test_plane_has_one_rectangle_disk():
     # a second disk holding a rectangle of pixels, with rounding terms of
-    # its own, fails here: the window gate, the row blocks, the failed-cell
-    # batches and the cells all take _rect_disk, whose 2.0 ** -1073 covers
-    # the halving of a subnormal
+    # its own, fails here: the window gate, the batches of failed cells
+    # (a zoom's row blocks among them) and the tile pass's cells all take
+    # _rect_disk, whose 2.0 ** -1073 covers the halving of a subnormal
     assert power_functions(plane_tree(), 2.0 ** -1073) == {"_rect_disk"}
+
+
+def test_plane_has_one_batch_loop():
+    # a second loop that hands pixels to the kernel, such as a path of row
+    # blocks beside the cells, fails here: the kernel is called on a single
+    # point and in _classify_cells' batches of failed cells alone
+    callers = {fn for node, fn in nodes_in_functions(plane_tree())
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "_classify_block"}
+    assert callers == {"classify_point", "_classify_cells"}

@@ -52,7 +52,10 @@ arithmetic that changed:
   recurrence of plane._quiet_steps, and iterates only the pixels of the
   cells that fail, each written at the position _classify_block is given:
   the same labels and counts, bit for bit, also with the tile pass forced
-  on every window and with cells of 8, 4, 2 and one pixel a side.
+  on every window and with cells of 8, 4, 2 and one pixel a side;
+- render_grid sets each pixel's parts to xs[j] and ys[i] instead of adding
+  xs[j] and 1j ys[i], which differ at most in the sign of a zero part: the
+  same labels and counts, bit for bit.
 """
 
 import cmath
@@ -1122,7 +1125,8 @@ def test_certificate_covers_most_zoom_steps():
 
 
 def test_tile_pass_idle_on_zoom_windows():
-    # a zoom window is quiet at step 0, so it keeps the row-block path
+    # a zoom window is quiet at step 0, so its cells are its row blocks and
+    # none is stepped as a tile
     assert zoom_catalogue_steps()[2] == 0
     for name, case in KERNEL_RENDERS.items():
         if name.startswith(("zoom-", "ulp-zoom-")):

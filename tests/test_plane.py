@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,14 +228,25 @@ def test_window_validation():
 
 
 def test_window_from_bounds_validation():
-    # empty, non-finite, and finite bounds whose size or centre overflows
+    # empty, non-finite, and finite bounds whose size overflows
     for bounds in [(1.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0),
                    (0.0, 1.0, 1.0, 1.0), (-math.inf, math.inf, -1.0, 1.0),
                    (0.0, 1.0, -1.0, math.inf), (math.nan, 1.0, 0.0, 1.0),
-                   (-1.7e308, 1.7e308, 0.0, 1.0), (0.0, 1.0, 1e308, 1.7e308)]:
+                   (-1.7e308, 1.7e308, 0.0, 1.0)]:
         named = re.escape(f"xmin={bounds[0]!r}, xmax={bounds[1]!r}")
         with pytest.raises(InvalidParameter, match=named):
             Window.from_bounds(*bounds)
+
+
+def test_window_from_bounds_near_the_float_limit():
+    # the bounds' sum passes the float range, their halves' sum does not,
+    # so the centre is finite; every pixel lies far past the escape radius
+    w = Window.from_bounds(0.0, 1.0, 1e308, 1.7e308)
+    assert (w.center, w.width, w.height) == (0.5 + 1.35e308j, 1.0, 1.7e308 - 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = render_grid(make_params(2.0, 0.3), w, 2, 50)
+    assert (g.labels == 1).all() and (g.counts == 0).all()
 
 
 # A 128x128 deep-zoom window (half-width 1.2e-14) straddling the escape/basin
@@ -313,6 +325,35 @@ def test_render_grid_matches_row_by_row_kernel():
         labels, counts = classify_block(p, xs + 1j * y, max_iter)
         assert np.array_equal(g.labels[i], labels), f"row {i}"
         assert np.array_equal(g.counts[i], counts), f"row {i}"
+
+
+@pytest.mark.parametrize("resolution", [ZOOM[3], (100, 165)])
+def test_zoom_kernel_calls_are_its_row_blocks(monkeypatch, resolution):
+    # a window quiet at step 0 goes to the kernel one row block a call, in
+    # order, each in the disk of its corner pixels: the certificate's share
+    # of the zoom catalogue's radius tests rests on these disks.  The
+    # 100 x 165 grid is 83 + 82 rows, the last block short
+    K, theta, bounds, _, max_iter = ZOOM
+    nx, ny = resolution
+    w = Window.from_bounds(*bounds)
+    calls = []
+    kernel = plane._classify_block
+
+    def record(p, pixels, idx, *args):
+        calls.append((pixels.size, idx.copy(), args[-2:]))
+        return kernel(p, pixels, idx, *args)
+
+    monkeypatch.setattr(plane, "_classify_block", record)
+    render_grid(make_params(K, theta), w, resolution, max_iter)
+    xs = w.center.real + w.width * ((np.arange(nx) + 0.5) / nx - 0.5)
+    ys = (w.center.imag + w.height * ((np.arange(ny) + 0.5) / ny - 0.5))[::-1]
+    blocks = plane._row_blocks(nx, ny)
+    assert len(calls) == len(blocks) == (1 if ny == 128 else 2)
+    for (size, idx, disk), rows in zip(calls, blocks):
+        y = ys[rows]
+        assert size == nx * y.size
+        assert np.array_equal(idx, np.arange(rows.start * nx, rows.start * nx + size))
+        assert disk == plane._rect_disk(xs[0], xs[-1], y[-1], y[0])
 
 
 BLOCK_LAYOUT_CASES = {
@@ -555,7 +596,8 @@ def test_render_grid_holds_one_block():
     # failed cells are gathered and classified one batch at a time, beside
     # the 5 MiB grid (1 M uint8 labels and int32 counts): a whole-image mask
     # would add 1 MiB, an intp position or code array 8 MiB.  This peaks at
-    # 6.36 MiB, and the row blocks, on this window, at 6.46 MiB.
+    # 6.34 MiB, as the tile pass frees its cells' disks before it
+    # allocates the grid: with them held it peaked at 6.45 MiB.
     p = make_params(3.0, 0.4)
     window = Window(0j, 3.0, 3.0)
     render_grid(p, window, 64, 200)
