@@ -120,7 +120,8 @@ class BasinInterval:
 def immediate_basin(p: MapParams) -> BasinInterval:
     report = fixed_rays(p)
     if report.regime in (Regime.ONE_REPELLING, Regime.ONE_PARABOLIC):
-        raise NoBasin("no non-repelling fixed ray in this regime")
+        raise NoBasin(f"no non-repelling fixed ray at K={p.K!r}, "
+                      f"theta={p.theta!r}: the regime is {report.regime.value}")
     if report.regime is Regime.THREE:
         angles = [r.angle for r in report.rays]
         return BasinInterval(lo=min(angles), hi=max(angles),

@@ -17,7 +17,6 @@ MAX_TREE_DEPTH = 20
 # The most steps orbit, classify_limit and converged_fraction take; `qrdyn
 # orbit` prints the whole orbit: at a million angles it peaks near 280 MB
 MAX_ORBIT_LEN = 1_000_000
-DEDUP_TOL = 1e-13
 FIXED_RESIDUAL = 1e-8    # circle distance allowed between H~(phi) and phi,
                          # per unit of max(1, H~'(phi))
 LIMIT_TOL = 1e-9         # classify_limit: circle distance that counts as arrival
@@ -196,7 +195,7 @@ def converged_fraction(p: MapParams, phis: np.ndarray, target: float,
 
 @dataclass(frozen=True)
 class BackwardTree:
-    angles: list[float]  # sorted, deduplicated depth-level preimages
+    angles: list[float]  # sorted, distinct depth-level preimages
     max_gap: float       # largest circular gap, including wraparound
 
 
@@ -207,28 +206,16 @@ def _wrap(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _dedup_sorted(a: np.ndarray) -> np.ndarray:
-    """Sorted angles without near-duplicates: an angle is kept iff it exceeds
-    the last kept angle by more than DEDUP_TOL, and the last angle is dropped
-    if it is within DEDUP_TOL of the first one plus 2 pi."""
-    # an angle more than DEDUP_TOL above its neighbour is more than that
-    # above every kept angle too, so only angles in close runs need the loop
-    close = np.flatnonzero(np.diff(a) <= DEDUP_TOL) + 1
-    if close.size:
-        keep = np.ones(a.size, dtype=bool)
-        last = 0.0
-        for i in close.tolist():
-            if keep[i - 1]:
-                last = a[i - 1]
-            keep[i] = a[i] - last > DEDUP_TOL
-        a = a[keep]
-    if a.size > 1 and (a[0] + 2.0 * math.pi) - a[-1] <= DEDUP_TOL:
-        a = a[:-1]
-    return a
+def _distinct_angles(a: np.ndarray) -> np.ndarray:
+    """The angles of a, sorted, each float once (-0.0 and 0.0 are one
+    angle), less the last one if it equals the first plus 2 pi."""
+    a = np.unique(a)
+    return a[:-1] if a.size > 1 and a[0] + 2.0 * math.pi <= a[-1] else a
 
 
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
-    """All depth-level preimages of phi under the circle map."""
+    """All depth-level preimages of phi under the circle map that are distinct
+    as floats, sorted; preimages that round to one float are kept once."""
     require_finite("backward_tree", "phi", phi)
     depth = require_count("backward_tree", "depth", depth, 0, MAX_TREE_DEPTH)
     level = np.array([normalize_angle(phi)])
@@ -236,10 +223,6 @@ def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:
         # both preimages phi, phi + pi of every angle under the circle map
         u = (level - 2.0 * p.theta) / 2.0
         first = _wrap(p.theta + np.arctan2(p.K * np.sin(u), np.cos(u)))
-        both = np.concatenate((first, _wrap(first + math.pi)))
-        level = _dedup_sorted(np.sort(both))
-    angles = level.tolist()
-    if len(angles) == 1:
-        return BackwardTree(angles, 2.0 * math.pi)
-    wrap_gap = angles[0] + 2.0 * math.pi - angles[-1]
-    return BackwardTree(angles, max(float(np.diff(level).max()), wrap_gap))
+        level = _distinct_angles(np.concatenate((first, _wrap(first + math.pi))))
+    gaps = np.diff(level, append=level[0] + 2.0 * math.pi)
+    return BackwardTree(level.tolist(), float(gaps.max()))

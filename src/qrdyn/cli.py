@@ -22,8 +22,7 @@ from .mobius import dilatation_distance_series, growth_fit
 from .blaschke import julia_classification, julia_sample, immediate_basin
 from .plane import Window, _rewrite, render_grid, write_ppm, write_stats
 from .obstruct import TRACE_TOL, obstruction_report
-from .errors import (InvalidParameter, NoBasin, NumericalFailure,
-                     ResourceLimit)
+from .errors import InvalidParameter, NoBasin, QrdynError
 
 EX_USAGE = 64
 
@@ -264,12 +263,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameter, NoBasin) as e:
+    except QrdynError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (NumericalFailure, ResourceLimit) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, (InvalidParameter, NoBasin)) else 3
     except OSError as e:  # writing --out, or stdout without it
         path = e.filename or getattr(args, "out", None) or "<stdout>"
         print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)

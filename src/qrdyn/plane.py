@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, eval_H, modulus, radial_stretch, require_count
-from .circle import require_fixed_angle
-from .errors import InvalidParameter
+from .core import MapParams, circle_dist, eval_H, modulus, radial_stretch, require_count
+from .circle import circle_map, require_fixed_angle
+from .errors import InvalidParameter, NumericalFailure
 
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
@@ -76,12 +76,26 @@ def classify_point(p: MapParams, z: complex, max_iter: int) -> PointResult:
 
 
 def radial_fixed_point(p: MapParams, phi: float) -> float:
-    """The radius r = 1/alpha at which the fixed ray phi carries a fixed point."""
+    """The radius r = 1/alpha at which the fixed ray phi carries a fixed point;
+    NumericalFailure unless |H(z) - z| <= r (d + 5 eps) at z = r e^{i phi}:
+    d = circle_dist(H~(phi), phi) as require_fixed_angle certified it, eps =
+    _step_eps(K).  With u = 2^-53, that holds where |phi - theta| <= 2 pi,
+    as for every angle fixed_rays reports:
+    - radial_stretch and circle_map see psi = theta + fl(phi - theta), and
+      w = rho e^{i psi}, rho = 1/alpha(psi), has H(w) = rho e^{i H~(psi)}, so
+      |H(w) - w| <= rho (d + 40 u) with |phi - psi| and circle_map's rounding;
+    - alpha sums positive terms, so |r/rho - 1| <= 8 u and |z - w| < 18 u rho;
+      h has norm K and |h(w)| = sqrt(rho) <= 1, so |H(z) - H(w)| < 37 K u rho;
+    - eval_H rounds by at most (2.3 K + 9) u |H(z)| (_quiet_steps);
+    in all, rho (d + (39.3 K + 68) u) < r (d + (40 K + 160) u)."""
     require_fixed_angle(p, phi)
     r = 1.0 / radial_stretch(p, phi)
     z = r * cmath.exp(1j * phi)
-    if abs(eval_H(p, z) - z) >= 1e-12:
-        raise InvalidParameter(f"fixed-point residual too large at phi={phi}")
+    residual = abs(eval_H(p, z) - z)
+    bound = r * (circle_dist(circle_map(p, phi), phi) + 5.0 * _step_eps(p.K))
+    if not residual <= bound:
+        raise NumericalFailure(f"fixed-point residual {residual!r} exceeds its bound "
+                               f"{bound!r} at K={p.K!r}, theta={p.theta!r}, phi={phi!r}")
     return r
 
 
@@ -150,12 +164,17 @@ def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty(size, complex), np.empty(size, complex), np.empty(size)
 
 
+def _step_eps(K: float) -> float:
+    """Over three times the relative rounding of an eval_H step (_quiet_steps)."""
+    return 8.0 * (K + 4.0) * 2.0 ** -53
+
+
 def _disk_step(p: MapParams, z, rho):
     """(z_{n+1}, |z_{n+1}|, rho_{n+1}) of _quiet_steps' disk recurrence
     from (z_n, rho_n), for a Python complex z and float rho or for numpy
     arrays of them alike."""
     K, c, mu = p.K, 0.5 * (p.K + 1.0), p.mu
-    eps = 8.0 * (K + 4.0) * 2.0 ** -53
+    eps = _step_eps(K)
     h = c * (z + mu * z.conjugate())
     z = h * h
     m = abs(z)

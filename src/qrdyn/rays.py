@@ -219,7 +219,7 @@ def _k_theta(theta: float) -> float:
     if theta == 0.0:
         return 2.0
     if not 0.0 < theta < math.pi / 2:
-        raise InvalidParameter("need theta in [0, pi/2)")
+        raise InvalidParameter(f"need theta in [0, pi/2), got theta={theta!r}")
     # K_theta ~ 8/cos^2(theta) as theta -> pi/2, so size the bracket to fit
     lo, hi = 2.0, max(1e3, 32.0 / math.cos(theta) ** 2)
     for _ in range(200):

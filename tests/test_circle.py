@@ -198,11 +198,22 @@ def test_backward_tree_counts_and_density():
 
 
 def test_backward_tree_fixed_angle_dedup():
-    # preimages of the fixed angle 0 include 0 itself at every level
+    # the fixed angle 0 is its own preimage, so every level holds it; its
+    # other preimage is pi, and at K = 1.5 no two preimages round to one
+    # float, so each level keeps all 2^depth angles
     p = make_params(1.5, 0.0)
     t = backward_tree(p, 0.0, 6)
-    assert any(abs(a) < 1e-13 for a in t.angles)
-    assert len(t.angles) < 2 ** 6 + 2 ** 5  # strictly deduplicated
+    assert 0.0 in t.angles
+    assert len(t.angles) == 2 ** 6
+
+
+def test_backward_tree_keeps_every_distinct_preimage():
+    # preimages crowd at the repelling fixed angle, 1/(2K) closer a level,
+    # and are kept while floats tell them apart (20,181 once merged within
+    # 1e-13)
+    angles = backward_tree(make_params(10.0, 0.3), 0.4, 16).angles
+    assert len(angles) >= 63_000
+    assert all(a < b for a, b in zip(angles, angles[1:]))
 
 
 def test_backward_tree_depth_limit():

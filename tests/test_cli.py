@@ -154,6 +154,12 @@ def test_basin_absent_is_parameter_error(capsys):
     assert code == 2
 
 
+def test_basin_absent_names_the_map(capsys):
+    assert main(["basin", "--K", "1.5", "--theta", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "K=1.5" in err and "theta=0.0" in err and "one_repelling" in err
+
+
 def test_obstruct_json(capsys):
     code, out = run(capsys, "obstruct", "--K", "1.5", "--theta", "0",
                     "--K2", "4", "--theta2", "0")

@@ -8,8 +8,10 @@ arithmetic that changed:
 - converged_fraction iterates unit complex numbers instead of angles: the
   same fraction on the benchmark's survey grids, within 1e-3 on
   criterion 7b's grids;
-- backward_tree takes np.arctan2, which differs from math.atan2 by an ulp
-  on some inputs: the same tree size, angles and max_gap within 1e-12;
+- backward_tree keeps every preimage that is distinct as a float, so its
+  size hangs on the last bit of each one, and np.arctan2 differs from
+  math.atan2 by an ulp on some inputs: the reference takes each preimage
+  with backward_tree's numpy functions, and the trees agree bit for bit;
 - dilatation_chain drops the normalization and the square root of each
   factor: within 1e-12 for n <= 100 of the DiskMobius chain, and bit for
   bit equal to the matrix-free loop that first dropped them, which walks
@@ -71,8 +73,8 @@ import pytest
 
 from qrdyn.blaschke import julia_sample
 from qrdyn import circle, plane
-from qrdyn.circle import (DEDUP_TOL, LIMIT_TOL, LimitOutcome, LimitReport,
-                          _dedup_sorted, backward_tree, circle_map,
+from qrdyn.circle import (LIMIT_TOL, LimitOutcome, LimitReport,
+                          _distinct_angles, backward_tree, circle_map,
                           circle_map_deriv, classify_limit,
                           converged_fraction, orbit)
 from qrdyn.core import (arg_h, circle_dist, eval_H, make_params,
@@ -118,11 +120,18 @@ def ref_converged_fraction(p, phis, target, n_iter, tol):
 def ref_dedup(nxt):
     level = [nxt[0]]
     for a in nxt[1:]:
-        if a - level[-1] > DEDUP_TOL:
+        if a > level[-1]:
             level.append(a)
-    if len(level) > 1 and (level[0] + 2.0 * math.pi) - level[-1] <= DEDUP_TOL:
+    if len(level) > 1 and level[0] + 2.0 * math.pi <= level[-1]:
         level.pop()
     return level
+
+
+def ref_preimages(p, psi):
+    # circle_preimages with numpy's sin, cos and arctan2 on one angle
+    u = (psi - 2.0 * p.theta) / 2.0
+    phi = normalize_angle(float(p.theta + np.arctan2(p.K * np.sin(u), np.cos(u))))
+    return phi, normalize_angle(phi + math.pi)
 
 
 def ref_backward_tree(p, phi, depth):
@@ -130,7 +139,7 @@ def ref_backward_tree(p, phi, depth):
     for _ in range(depth):
         nxt = []
         for a in level:
-            nxt.extend(circle_preimages(p, a))
+            nxt.extend(ref_preimages(p, a))
         nxt.sort()
         level = ref_dedup(nxt)
     if len(level) == 1:
@@ -643,37 +652,41 @@ def test_converged_fraction_near_reference_on_criterion_7b():
                - ref_converged_fraction(pc, phis2, neutral, 10_000, 1e-3)) <= 1e-3
 
 
-def test_dedup_keeps_the_greedy_rule_on_clusters():
-    # a mask of gaps > DEDUP_TOL would keep only the first angle of a run of
-    # steps of 0.6 DEDUP_TOL; the greedy rule keeps every second one
-    run = np.arange(8) * (0.6 * DEDUP_TOL)
-    assert _dedup_sorted(run).tolist() == ref_dedup(run.tolist())
-    assert _dedup_sorted(run).tolist() == run[::2].tolist()
+def test_distinct_angles_drops_exact_duplicates_only():
+    # equal floats are kept once, and -0.0 and 0.0 are one angle
+    a = np.array([0.5, -0.0, 0.5, 0.0, -1.0, 0.5])
+    assert _distinct_angles(a).tolist() == ref_dedup(sorted(a.tolist())) \
+        == [-1.0, 0.0, 0.5]
+    # a run of consecutive floats is kept whole
+    run = [1.0]
+    for _ in range(7):
+        run.append(float(np.nextafter(run[-1], 2.0)))
+    a = np.array(run[::-1] + run[:3])
+    assert _distinct_angles(a).tolist() == ref_dedup(sorted(a.tolist())) == run
     rng = np.random.default_rng(72)
     for _ in range(300):
-        steps = rng.choice([0.3, 0.7, 1.0, 1.3, 1e6], size=rng.integers(1, 40))
-        a = np.sort(np.cumsum(steps * DEDUP_TOL) - 1.0)
-        assert _dedup_sorted(a).tolist() == ref_dedup(a.tolist())
+        steps = rng.choice([0.0, 1.0, 2.0, 1e6], size=rng.integers(1, 40))
+        a = rng.permutation(np.cumsum(steps) * 2.0 ** -52 - 1.0)
+        assert _distinct_angles(a).tolist() == ref_dedup(sorted(a.tolist()))
     # the wraparound duplicate of the first angle goes
     a = np.array([-math.pi, 0.0, math.pi])
-    assert _dedup_sorted(a).tolist() == ref_dedup(a.tolist()) == [-math.pi, 0.0]
+    assert _distinct_angles(a).tolist() == ref_dedup(a.tolist()) == [-math.pi, 0.0]
 
 
 def test_backward_tree_near_reference():
     rng = random.Random(73)
     cases = [(p, rng.uniform(-math.pi, math.pi), rng.choice((1, 6, 10, 12)))
              for p in regime_params(73)]
-    # large K clusters preimages at the repelling angles; fixed roots put
-    # exact duplicates in every level
+    # large K clusters preimages at the repelling angles, where neighbours
+    # round to one float; fixed roots are their own preimages
     cases += [(make_params(K, th), phi, 10) for K in (60.0, 400.0)
               for th in (0.0, 0.7) for phi in (0.0, 1.0)]
     cases += [(make_params(1.5, 0.0), 0.0, 14), (make_params(4.0, 0.0), 0.0, 8)]
     for p, phi, depth in cases:
         tree = backward_tree(p, phi, depth)
         ref, ref_gap = ref_backward_tree(p, phi, depth)
-        assert len(tree.angles) == len(ref)
-        assert max(abs(a - b) for a, b in zip(tree.angles, ref)) <= 1e-12
-        assert abs(tree.max_gap - ref_gap) <= 1e-12
+        assert tree.angles == ref
+        assert tree.max_gap == ref_gap
         assert all(type(a) is float for a in tree.angles)
 
 

@@ -17,8 +17,9 @@ from qrdyn import plane
 from qrdyn.core import (MapParams, arg_h, circle_dist, eval_H, make_params,
                         radial_stretch)
 from qrdyn.errors import InvalidParameter, ResourceLimit
+from qrdyn.circle import circle_map
 from qrdyn.plane import (MAX_RESOLUTION, PlaneGrid, PointClass, R_ESCAPE, Window,
-                         _classify_block, _palette, _rewrite, _scratch,
+                         _classify_block, _palette, _rewrite, _scratch, _step_eps,
                          classify_point, r_attract, radial_fixed_point,
                          render_grid, write_ppm, write_stats)
 from qrdyn.rays import fixed_rays, k_theta
@@ -94,6 +95,25 @@ def test_radial_fixed_point_residual_all_rays():
             r = radial_fixed_point(p, ray.angle)
             z = r * cmath.exp(1j * ray.angle)
             assert abs(eval_H(p, z) - z) < 1e-12
+
+
+def test_radial_fixed_point_on_every_ray_up_to_large_K():
+    # a flat 1e-12 residual rejected fixed rays from K of about 3e3 on, and
+    # most of them from 3e6; the bound grows with the rounding of eval_H and
+    # with the certified circle residual
+    for K in (1.05, 3.0, 30.0, 3e3, 3e6, 1e9, 1e15):
+        rng = random.Random(f"radial {K}")
+        for _ in range(40):
+            p = make_params(K, rng.uniform(-math.pi / 2, math.pi / 2))
+            for ray in fixed_rays(p).rays:
+                phi = ray.angle
+                r = radial_fixed_point(p, phi)
+                assert r == 1.0 / radial_stretch(p, phi)
+                z = r * cmath.exp(1j * phi)
+                d = circle_dist(circle_map(p, phi), phi)
+                assert abs(eval_H(p, z) - z) <= r * (d + 5.0 * _step_eps(K))
+        with pytest.raises(InvalidParameter, match="not a fixed angle"):
+            radial_fixed_point(p, phi + 0.5)
 
 
 def test_labels_flip_at_radial_fixed_point():
