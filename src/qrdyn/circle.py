@@ -207,9 +207,13 @@ def _wrap(a: np.ndarray) -> np.ndarray:
 
 
 def _distinct_angles(a: np.ndarray) -> np.ndarray:
-    """The angles of a, sorted, each float once (-0.0 and 0.0 are one
-    angle), less the last one if it equals the first plus 2 pi."""
-    a = np.unique(a)
+    """The angles of a, sorted, each float once (the first of -0.0 and 0.0
+    in sorted order), less the last one if it equals the first plus 2 pi:
+    np.unique's bytes, without its import of numpy.ma."""
+    a = np.sort(a)
+    first = np.ones(a.size, bool)  # the first of each run of equal angles
+    first[1:] = a[1:] != a[:-1]
+    a = a[first]
     return a[:-1] if a.size > 1 and a[0] + 2.0 * math.pi <= a[-1] else a
 
 

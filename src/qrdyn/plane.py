@@ -14,32 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapParams, circle_dist, eval_H, modulus, radial_stretch, require_count
+from .core import (MapParams, circle_dist, eval_H, modulus, normalize_angle,
+                   radial_stretch, require_count)
 from .circle import circle_map, require_fixed_angle
 from .errors import InvalidParameter, NumericalFailure
 
 R_ESCAPE = 2.0           # |z| > 2 forces |H(z)| >= |z|^2 > 2|z|
 MAX_RESOLUTION = 8192    # per grid side
 MAX_ITER = np.iinfo(np.int32).max  # the most the int32 counts hold
-# Pixels of the largest row block, the cell of a boundary zoom and the unit
-# in which write_ppm colours an image.  The kernel's step makes no temporaries,
-# so a pixel's arithmetic does not depend on its block, and the block size
-# sets only how often numpy's fixed per-call cost is paid.  At about 68 B a
-# pixel (w, t, u, m, idx and the masks) a block's working set of about
-# 1.1 MB fits a 2 MiB L2 cache, and its buffers add under 0.5 MB to peak RSS
-# over 8192-pixel blocks.  32768-pixel blocks were no faster on boundary
-# zooms, and their buffers page-fault in afresh on every render.
+# Pixels of the largest batch of cells the kernel classifies together, and
+# the unit in which write_ppm colours an image.  The kernel's step makes no
+# temporaries, so a pixel's arithmetic does not depend on its batch, and the
+# batch size sets only how often numpy's fixed per-call cost is paid.  At
+# about 68 B a pixel (w, t, u, m, idx and the masks) a batch's working set of
+# about 1.1 MB fits a 2 MiB L2 cache.  32768-pixel batches were no faster on
+# boundary zooms, and their buffers page-fault in afresh on every render;
+# 14336-pixel ones split a 128^2 zoom in two and were 2-3% slower there.
 BLOCK_PIXELS = 16384
-# Pixels a side of the cells of a whole-set render's tile pass.  8 x 8
-# cells alone were as fast as 16 x 16 tiles split into 8 x 8 ones on
-# failure, and a level of 4 x 4 cells behind them was slower.
+# Pixels a side of the cells into which every render cuts its grid.  8 x 8
+# cells alone were as fast in the tile pass as 16 x 16 tiles split into
+# 8 x 8 ones on failure, and a level of 4 x 4 cells behind them was slower.
 CELL = 8
-# Pixels of the failed CELL x CELL cells classified together, at most.  They
-# lie near the boundary and most stay active for the first steps, so the
-# kernel's compaction holds more of them than of a row block; at 7/8 of a
-# block a 1024^2 whole-set render peaks at 6.34 MiB, at a whole block at
-# 6.51 MiB.
-BATCH_PIXELS = 14336
 
 
 def r_attract(p: MapParams) -> float:
@@ -80,7 +75,8 @@ def radial_fixed_point(p: MapParams, phi: float) -> float:
     NumericalFailure unless |H(z) - z| <= r (d + 5 eps) at z = r e^{i phi}:
     d = circle_dist(H~(phi), phi) as require_fixed_angle certified it, eps =
     _step_eps(K).  With u = 2^-53, that holds where |phi - theta| <= 2 pi,
-    as for every angle fixed_rays reports:
+    as for every phi once normalize_angle reduces one outside (-pi, pi]
+    (only such a one: it moves the low bits of a negative angle):
     - radial_stretch and circle_map see psi = theta + fl(phi - theta), and
       w = rho e^{i psi}, rho = 1/alpha(psi), has H(w) = rho e^{i H~(psi)}, so
       |H(w) - w| <= rho (d + 40 u) with |phi - psi| and circle_map's rounding;
@@ -89,6 +85,8 @@ def radial_fixed_point(p: MapParams, phi: float) -> float:
     - eval_H rounds by at most (2.3 K + 9) u |H(z)| (_quiet_steps);
     in all, rho (d + (39.3 K + 68) u) < r (d + (40 K + 160) u)."""
     require_fixed_angle(p, phi)
+    if not -math.pi < phi <= math.pi:
+        phi = normalize_angle(phi)
     r = 1.0 / radial_stretch(p, phi)
     z = r * cmath.exp(1j * phi)
     residual = abs(eval_H(p, z) - z)
@@ -311,17 +309,15 @@ def _tile_steps(p: MapParams, z: np.ndarray, rho: np.ndarray, max_iter: int):
     return labels, counts, decided
 
 
-def _tile_pass(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
-    """(labels, counts, cells) of the grid of pixels xs[j] + 1j ys[i] cut
-    into cells of CELL x CELL pixels, those of the last row and column
-    clipped to the grid.  All the cells are run through _tile_steps
-    together, each in the _rect_disk of its corner pixels, which holds its
-    pixels as xs increase and ys decrease.  Each pixel takes its cell's
-    label and count, label 0 and count max_iter in a failed cell, and
-    cells gives the failed cells as _classify_cells takes them."""
+def _tile_pass(p: MapParams, xs: np.ndarray, ys: np.ndarray, ex, ey, max_iter: int):
+    """(labels, counts, decided) of the grid of pixels xs[j] + 1j ys[i] cut
+    into cells at the columns ex and rows ey of render_grid.  All the
+    cells are run through _tile_steps together, each in the _rect_disk of
+    its corner pixels, which holds its pixels as xs increase and ys
+    decrease.  Each pixel takes its cell's label and count, label 0 and
+    count max_iter in a failed cell, and decided[a, b] tells whether the
+    cell of row a and column b of cells was decided whole."""
     nx, ny = xs.size, ys.size
-    # the first pixel of each row and column of cells, and the grid's end
-    ex, ey = (np.append(np.arange(0, n, CELL), n) for n in (nx, ny))
     disks = _rect_disk(xs[ex[:-1]], xs[ex[1:] - 1], ys[ey[1:, None] - 1], ys[ey[:-1, None]])
     steps = _tile_steps(p, *(d.ravel() for d in disks), max_iter)
     del disks  # before the grid is allocated
@@ -331,18 +327,7 @@ def _tile_pass(p: MapParams, xs: np.ndarray, ys: np.ndarray, max_iter: int):
     for a in range(ey.size - 1):
         labels[ey[a]:ey[a + 1]] = cell_labels[a].repeat(CELL)[:nx]
         counts[ey[a]:ey[a + 1]] = cell_counts[a].repeat(CELL)[:nx]
-    ci, cj = np.nonzero(~decided)
-    return labels, counts, (ey[ci], ex[cj], int(ey[1]), int(ex[1]))
-
-
-def _row_blocks(nx: int, ny: int) -> list[slice]:
-    """The fewest row slices, in order, of at most BLOCK_PIXELS pixels but
-    one row at least.  Each of the n slices has ceil(ny / n) rows but the
-    last, which holds the rest, so 192 rows of 192 pixels are 3 x 64 rows,
-    not 85 + 85 + 22, and the first slice is a largest one."""
-    n = -(-ny // max(1, BLOCK_PIXELS // nx))
-    rows = -(-ny // n)
-    return [slice(i, i + rows) for i in range(0, ny, rows)]
+    return labels, counts, decided
 
 
 def _rect_disk(x0, x1, y0, y1):
@@ -368,55 +353,55 @@ def _classify_cells(p: MapParams, xs: np.ndarray, ys: np.ndarray, cells,
     tops[k]:tops[k] + h and the columns lefts[k]:lefts[k] + wd, clipped to
     the grid, and the cells come in row-major order.
 
-    The cells are taken in batches of at most BATCH_PIXELS pixels (one
-    cell at least), and the pixels of a batch are classified by
-    _classify_block together, in the disk of the rows of cells it spans:
-    numpy's per-call cost is paid once for up to a batch of them.  Each
-    pixel is complex(xs[j], ys[i]): xs[j] + 1j ys[i] but for the sign of a
-    zero part, which no step's |w| sees."""
+    The n cells are taken in order, in the fewest even batches of at most
+    m = max(1, BLOCK_PIXELS // (h wd)) cells: nb = ceil(n / m) batches of
+    ceil(n / nb) cells, the last holding the rest, so the 576 cells of a
+    192^2 zoom are 3 batches of 64 rows, not 256 + 256 + 64 cells.  The
+    pixels of a batch are classified by _classify_block together, in the
+    disk of the rows of cells it spans: numpy's per-call cost is paid once
+    a batch.  Each pixel is complex(xs[j], ys[i]): xs[j] + 1j ys[i] but
+    for the sign of a zero part, which no step's |w| sees."""
     tops, lefts, h, wd = cells
+    if not tops.size:
+        return
     nx, ny = xs.size, ys.size
-    batch = max(1, BATCH_PIXELS // (h * wd))
-    size = min(batch, tops.size) * h * wd
+    nb = -(-tops.size // max(1, BLOCK_PIXELS // (h * wd)))
+    batch = -(-tops.size // nb)
+    size = batch * h * wd
     w, pos, scratch = np.empty(size, complex), np.empty(size, np.intp), _scratch(size)
     flat_labels, flat_counts = labels.reshape(-1), counts.reshape(-1)
-    ragged = ny % h or nx % wd  # whether some cells are clipped
-    tops, lefts = tops[:, None, None], lefts[:, None, None]
     dy, dx = np.arange(h)[:, None], np.arange(wd)
-    for k in range(0, tops.shape[0], batch):
-        # the rows and columns of the batch's cells, those past the grid
-        # included, broadcast to their pixels
-        i, j = tops[k:k + batch] + dy, lefts[k:k + batch] + dx
-        shape = (i.shape[0], h, wd)
-        wb, idx = w[:i.size * wd], pos[:i.size * wd]
-        pixels = wb.reshape(shape)
-        pixels.real, pixels.imag = xs.take(j, mode="clip"), ys.take(i, mode="clip")
-        np.add(i * nx, j, out=idx.reshape(shape))
-        if ragged and (i[-1, -1, 0] >= ny or j.max() >= nx):
-            keep = ((i < ny) & (j < nx)).reshape(-1)
+    for k in range(0, tops.size, batch):
+        # pixel (a, q wd + c) is row a and column c of the batch's cell q,
+        # past the grid too: a row of cells gives whole rows of pixels, which
+        # decide in runs and compact faster than each cell's pixels together
+        t, j = tops[k:k + batch], (lefts[k:k + batch, None] + dx).reshape(-1)
+        wb, idx = w[:h * j.size], pos[:h * j.size]
+        pixels = wb.reshape(h, -1)
+        pixels.real = xs.take(j, mode="clip")
+        pixels.imag = ys.take(t + dy, mode="clip").repeat(wd, axis=1)
+        np.add(t.repeat(wd) * nx + j, dy * nx, out=idx.reshape(h, -1))
+        if t[-1] + h > ny or j.max() >= nx:  # some cells are clipped
+            keep = ((t + dy < ny).repeat(wd, axis=1) & (j < nx)).reshape(-1)
             wb, idx = wb[keep], idx[keep]
         _classify_block(p, wb, idx, max_iter, flat_labels, flat_counts, scratch,
-                        *_rect_disk(xs[0], xs[-1], ys[min(i[-1, -1, 0], ny - 1)],
-                                    ys[i[0, 0, 0]]))
+                        *_rect_disk(xs[0], xs[-1], ys[min(t[-1] + h, ny) - 1], ys[t[0]]))
 
 
 def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> PlaneGrid:
     """Classify every pixel of a grid over the window; resolution is one
     integer side or a pair (nx, ny) of them.
 
-    The grid is cut into cells, and the pixels of every cell that is not
+    The grid is cut into cells of CELL x CELL pixels, those of the last
+    row and column clipped, and the pixels of every cell that is not
     decided whole are classified by _classify_block, a batch of cells at a
-    time (_classify_cells).  When the disk holding the window is quiet at
-    step 0 (_quiet_steps), as for a zoom into the boundary, the cells are
-    the grid's _row_blocks, the fewest blocks of whole rows of at most
-    BLOCK_PIXELS pixels, and none is decided whole; a block of a grid of
-    several holds over BLOCK_PIXELS / 2 > BATCH_PIXELS / 2 pixels, so each
-    batch is one block.  Otherwise that disk reaches a certifying radius at
-    once, as for a window holding the whole set, and the cells are
-    CELL x CELL pixels, each decided whole by _tile_pass where it can.
-    The work runs in the calling thread, and the result depends only on
-    the arguments, not on the cells, the batches, the core count or the
-    environment.
+    time (_classify_cells).  When the disk holding the window reaches a
+    certifying radius at once (_quiet_steps), as for a window holding the
+    whole set, _tile_pass decides the cells whole where it can.  When that
+    disk is quiet at step 0, as for a zoom into the boundary, the tile
+    pass is skipped and every cell goes to the kernel.  The work runs in
+    the calling thread, and the result depends only on the arguments, not
+    on the cells, the batches, the core count or the environment.
     """
     max_iter = require_count("render_grid", "max_iter", max_iter, 1, MAX_ITER)
     if not (isinstance(resolution, (tuple, list)) and len(resolution) == 2):
@@ -428,16 +413,19 @@ def render_grid(p: MapParams, window: Window, resolution, max_iter: int) -> Plan
     ys = window.center.imag + window.height * ((np.arange(ny) + 0.5) / ny - 0.5)
     ys = ys[::-1]  # row 0 is the top of the image
 
+    # the first pixel of each column and row of cells, and the grid's end
+    ex, ey = (np.append(np.arange(0, n, CELL), n) for n in (nx, ny))
     # each pixel is xs[j] + 1j ys[i], inside the rectangle of the window's
     # corner pixels
     if _quiet_steps(p, *_rect_disk(xs[0], xs[-1], ys[-1], ys[0]), 0):
-        blocks = _row_blocks(nx, ny)
-        tops = np.array([rows.start for rows in blocks])
-        cells = tops, np.zeros_like(tops), blocks[0].stop, nx
         labels = np.zeros((ny, nx), dtype=np.uint8)
         counts = np.full((ny, nx), max_iter, dtype=np.int32)
+        decided = np.zeros((ey.size - 1, ex.size - 1), bool)
     else:
-        labels, counts, cells = _tile_pass(p, xs, ys, max_iter)
+        labels, counts, decided = _tile_pass(p, xs, ys, ex, ey, max_iter)
+    ci, cj = np.nonzero(~decided)
+    cells = ey[ci], ex[cj], int(ey[1]), int(ex[1])
+    del decided, ci, cj  # before the batches are allocated
     _classify_cells(p, xs, ys, cells, labels, counts, max_iter)
     return PlaneGrid(window=window, resolution=(nx, ny), labels=labels,
                      counts=counts, max_iter=max_iter)
@@ -489,8 +477,8 @@ def _rewrite(path: str):
 
 
 def write_ppm(grid: PlaneGrid, path: str) -> None:
-    """Binary P6 image of the grid, coloured and written one block of rows
-    at a time, so the image is never held whole.
+    """Binary P6 image of the grid, coloured and written max(1,
+    BLOCK_PIXELS // nx) rows at a time, so the image is never held whole.
 
     Each pixel's colour is looked up by its (label, count) in the palette,
     sized by the largest count in the grid, not by max_iter, which may be
@@ -502,7 +490,9 @@ def write_ppm(grid: PlaneGrid, path: str) -> None:
     pal = _palette(grid.max_iter, c).view("V3").reshape(-1)
     with _rewrite(path) as f:
         f.write(f"P6\n{nx} {ny}\n255\n".encode("ascii"))
-        for rows in _row_blocks(nx, ny):
+        step = max(1, BLOCK_PIXELS // nx)
+        for i in range(0, ny, step):
+            rows = slice(i, i + step)
             idx = grid.labels[rows].astype(np.intp) * (c + 1) + grid.counts[rows]
             f.write(np.take(pal, idx))
 

@@ -5,8 +5,8 @@ render catalogue entry of `bench/workloads.py`; the benchmark counts a job
 whose output differs from its digest as failed.  Re-rendering all 121
 entries here (under a second) makes a change that moves one bit of a render
 fail the tests, not only the benchmark; the render-wide entries of side
-384 to 1024 are the ones of many row blocks (64 blocks of 16 rows at
-1024^2).  Neither file is written.
+384 to 1024 are the ones that write_ppm colours in many blocks of rows (64
+blocks of 16 rows at 1024^2).  Neither file is written.
 """
 
 import hashlib

@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrdyn
 from qrdyn.circle import (MAX_ORBIT_LEN, _circle_step, backward_tree, circle_map,
                           circle_map_deriv, classify_limit, converged_fraction,
                           orbit, require_fixed_angle, LimitOutcome)
@@ -214,6 +219,22 @@ def test_backward_tree_keeps_every_distinct_preimage():
     angles = backward_tree(make_params(10.0, 0.3), 0.4, 16).angles
     assert len(angles) >= 63_000
     assert all(a < b for a, b in zip(angles, angles[1:]))
+
+
+def test_backward_tree_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, about 0.8 MB of a
+    # survey worker's peak RSS; the levels are sorted and their runs of
+    # equal angles masked instead
+    code = ("import sys\n"
+            "from qrdyn.circle import backward_tree\n"
+            "from qrdyn.core import make_params\n"
+            "backward_tree(make_params(2.0, 0.3), 0.1, 8)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qrdyn.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_backward_tree_depth_limit():

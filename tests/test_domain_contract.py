@@ -245,7 +245,7 @@ def test_plane_has_one_radius_recurrence():
 def test_plane_has_one_rectangle_disk():
     # a second disk holding a rectangle of pixels, with rounding terms of
     # its own, fails here: the window gate, the batches of failed cells
-    # (a zoom's row blocks among them) and the tile pass's cells all take
+    # (all of a zoom's cells among them) and the tile pass's cells all take
     # _rect_disk, whose 2.0 ** -1073 covers the halving of a subnormal
     assert power_functions(plane_tree(), 2.0 ** -1073) == {"_rect_disk"}
 
@@ -258,3 +258,13 @@ def test_plane_has_one_batch_loop():
                if isinstance(node, ast.Call)
                and ast.unparse(node.func) == "_classify_block"}
     assert callers == {"classify_point", "_classify_cells"}
+
+
+def test_plane_has_one_batch_size():
+    # a second pixel count beside BLOCK_PIXELS, such as a batch size of the
+    # failed cells apart from the zooms' blocks, fails here: the kernel's
+    # batches and write_ppm's blocks of rows take the one constant
+    names = [target.id for node in plane_tree().body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id.endswith("_PIXELS")]
+    assert names == ["BLOCK_PIXELS"]

@@ -46,7 +46,7 @@ arithmetic that changed:
   writes labels and counts straight into the grid: the same labels and
   counts, bit for bit;
 - render_grid skips the radius test at the leading steps that
-  plane._quiet_steps certifies for a disk holding the block: the same
+  plane._quiet_steps certifies for a disk holding the batch: the same
   labels and counts, bit for bit, and no certified step at or past the
   first decision in the reference of a pixel the block iterates;
 - render_grid first decides whole cells by plane._tile_pass when no step
@@ -501,13 +501,13 @@ def block_edge_grids():
                          max_iter=max_iter)
 
     wide = grid((3, BLOCK_PIXELS + 808), 150)
-    # two blocks of 100-pixel rows, the last one row shorter
+    # two blocks of 100-pixel rows, the last of 2 rows
     ragged = grid((BLOCK_PIXELS // 100 + 2, 100), 150)
     last = grid((BLOCK_PIXELS // 100 + 2, 100), 20)
     last.labels[-1, -1], last.counts[-1, -1] = 1, 180
     return {
         "one-row-blocks": wide,           # nx > BLOCK_PIXELS: one row a block
-        "ragged-last-block": ragged,      # 83 + 82 rows
+        "ragged-last-block": ragged,      # 163 + 2 rows
         "largest-count-last": last,       # the palette is sized by the last block
         "all-zero-counts": grid((200, 64), 0),
         "one-pixel": grid((1, 1), 5, max_iter=7),
@@ -560,7 +560,8 @@ def kernel_renders():
     zoom = Window(repelling_point(p, rng), 1e-9, 1e-9)
     out["one-row"] = (p, zoom, (MAX_RESOLUTION, 1), 60)
     out["one-column"] = (p, zoom, (1, MAX_RESOLUTION), 60)
-    # 83 + 82 rows, and 81 + 81 + 3 in ref_render_labels_counts
+    # 137 + 136 cells, the last row and column of them clipped, and
+    # 81 + 81 + 3 rows in ref_render_labels_counts
     out["ragged-blocks"] = (p, zoom, (100, BLOCK_PIXELS // 100 + 2), 60)
     # the centre pixel sits on the radial fixed point 1/4 of (2, 0) and never
     # decides; the others leave it from 1e-300 away
@@ -671,6 +672,15 @@ def test_distinct_angles_drops_exact_duplicates_only():
     # the wraparound duplicate of the first angle goes
     a = np.array([-math.pi, 0.0, math.pi])
     assert _distinct_angles(a).tolist() == ref_dedup(a.tolist()) == [-math.pi, 0.0]
+    # the bytes of np.unique, signs of zero included, with the wraparound
+    for _ in range(300):
+        a = rng.choice([0.0, -0.0, math.pi, -math.pi, 0.5, -0.5, 2.0],
+                       size=rng.integers(1, 40))
+        a[rng.random(a.size) < 0.3] = rng.uniform(-math.pi, math.pi)
+        want = np.unique(a)
+        if want.size > 1 and want[0] + 2.0 * math.pi <= want[-1]:
+            want = want[:-1]
+        assert _distinct_angles(a).tobytes() == want.tobytes(), a
 
 
 def test_backward_tree_near_reference():
@@ -1138,8 +1148,8 @@ def test_certificate_covers_most_zoom_steps():
 
 
 def test_tile_pass_idle_on_zoom_windows():
-    # a zoom window is quiet at step 0, so its cells are its row blocks and
-    # none is stepped as a tile
+    # a zoom window is quiet at step 0, so it skips the tile pass and none
+    # of its cells is stepped as a tile
     assert zoom_catalogue_steps()[2] == 0
     for name, case in KERNEL_RENDERS.items():
         if name.startswith(("zoom-", "ulp-zoom-")):

@@ -15,7 +15,7 @@ import pytest
 
 from qrdyn import plane
 from qrdyn.core import (MapParams, arg_h, circle_dist, eval_H, make_params,
-                        radial_stretch)
+                        normalize_angle, radial_stretch)
 from qrdyn.errors import InvalidParameter, ResourceLimit
 from qrdyn.circle import circle_map
 from qrdyn.plane import (MAX_RESOLUTION, PlaneGrid, PointClass, R_ESCAPE, Window,
@@ -114,6 +114,19 @@ def test_radial_fixed_point_on_every_ray_up_to_large_K():
                 assert abs(eval_H(p, z) - z) <= r * (d + 5.0 * _step_eps(K))
         with pytest.raises(InvalidParameter, match="not a fixed angle"):
             radial_fixed_point(p, phi + 0.5)
+
+
+def test_radial_fixed_point_reduces_the_angle_first():
+    # a fixed angle plus 2 pi k is the same fixed angle; given unreduced,
+    # fl(phi - theta) can round past the residual bound, which assumes
+    # |phi - theta| <= 2 pi
+    for K in (3.0, 3e3, 3e6):
+        p = make_params(K, 0.3)
+        for ray in fixed_rays(p).rays:
+            for k in (1, 10, 1000, 10 ** 6):
+                phi = ray.angle + 2.0 * math.pi * k
+                assert radial_fixed_point(p, phi) == \
+                    radial_fixed_point(p, normalize_angle(phi)), (K, k)
 
 
 def test_labels_flip_at_radial_fixed_point():
@@ -347,12 +360,22 @@ def test_render_grid_matches_row_by_row_kernel():
         assert np.array_equal(g.counts[i], counts), f"row {i}"
 
 
-@pytest.mark.parametrize("resolution", [ZOOM[3], (100, 165)])
+def cell_pixels(nx, ny, cells):
+    """The sorted positions i nx + j of the pixels of the 8 x 8 cells with
+    the given (top, left) corners of an nx x ny grid, clipped to it."""
+    return np.sort(np.concatenate([(np.arange(top, min(top + 8, ny))[:, None] * nx
+                                    + np.arange(left, min(left + 8, nx))).ravel()
+                                   for top, left in cells]))
+
+
+@pytest.mark.parametrize("resolution", [ZOOM[3], (100, 165), (192, 192)])
 def test_zoom_kernel_calls_are_its_row_blocks(monkeypatch, resolution):
-    # a window quiet at step 0 goes to the kernel one row block a call, in
-    # order, each in the disk of its corner pixels: the certificate's share
-    # of the zoom catalogue's radius tests rests on these disks.  The
-    # 100 x 165 grid is 83 + 82 rows, the last block short
+    # a window quiet at step 0 goes to the kernel in its fewest even
+    # batches of 8 x 8 cells, in row-major order, each call with its cells'
+    # pixels and positions in the _rect_disk of the rows of cells it spans:
+    # the certificate's share of the zoom catalogue's radius tests rests on
+    # these disks.  128^2 is one batch, 192^2 three batches of 64 rows; the
+    # 100 x 165 grid's 273 cells are 137 + 136, neither of whole rows
     K, theta, bounds, _, max_iter = ZOOM
     nx, ny = resolution
     w = Window.from_bounds(*bounds)
@@ -360,20 +383,23 @@ def test_zoom_kernel_calls_are_its_row_blocks(monkeypatch, resolution):
     kernel = plane._classify_block
 
     def record(p, pixels, idx, *args):
-        calls.append((pixels.size, idx.copy(), args[-2:]))
+        calls.append((pixels.copy(), idx.copy(), args[-2:]))
         return kernel(p, pixels, idx, *args)
 
     monkeypatch.setattr(plane, "_classify_block", record)
     render_grid(make_params(K, theta), w, resolution, max_iter)
     xs = w.center.real + w.width * ((np.arange(nx) + 0.5) / nx - 0.5)
     ys = (w.center.imag + w.height * ((np.arange(ny) + 0.5) / ny - 0.5))[::-1]
-    blocks = plane._row_blocks(nx, ny)
-    assert len(calls) == len(blocks) == (1 if ny == 128 else 2)
-    for (size, idx, disk), rows in zip(calls, blocks):
-        y = ys[rows]
-        assert size == nx * y.size
-        assert np.array_equal(idx, np.arange(rows.start * nx, rows.start * nx + size))
-        assert disk == plane._rect_disk(xs[0], xs[-1], y[-1], y[0])
+    cells = [(top, left) for top in range(0, ny, 8) for left in range(0, nx, 8)]
+    batch = {128: len(cells), 165: 137, 192: 192}[ny]
+    assert len(calls) == {128: 1, 165: 2, 192: 3}[ny]
+    for k, (pixels, idx, disk) in enumerate(calls):
+        batch_cells = cells[k * batch:(k + 1) * batch]
+        assert np.array_equal(np.sort(idx), cell_pixels(nx, ny, batch_cells))
+        assert np.array_equal(pixels, xs[idx % nx] + 1j * ys[idx // nx])
+        top, bottom = batch_cells[0][0], min(batch_cells[-1][0] + 8, ny) - 1
+        assert ny != 192 or bottom - top + 1 == 64
+        assert disk == plane._rect_disk(xs[0], xs[-1], ys[bottom], ys[top])
 
 
 BLOCK_LAYOUT_CASES = {
@@ -387,15 +413,15 @@ BLOCK_LAYOUT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(BLOCK_LAYOUT_CASES))
 def test_render_is_independent_of_the_block_layout(tmp_path, monkeypatch, name):
-    # one row a block, the earlier and the current block size, and the whole
-    # grid as one block give the same labels, counts and output bytes; so
-    # do batches of failed cells of these sizes on the whole-set window
+    # batches of the cells of one row of pixels (one cell at least), of
+    # half and all of the batch size, and the whole grid as one batch give
+    # the same labels, counts and output bytes, and so do write_ppm's
+    # blocks of rows of these sizes
     case = BLOCK_LAYOUT_CASES[name]
     nx, ny = case[3]
     outputs = {}
     for block_pixels in (nx, 8192, 16384, nx * ny):
         monkeypatch.setattr(plane, "BLOCK_PIXELS", block_pixels)
-        monkeypatch.setattr(plane, "BATCH_PIXELS", block_pixels)
         outputs[block_pixels] = render_outputs(case, tmp_path)
     first = outputs[nx]
     assert all(out == first for out in outputs.values()), \
@@ -404,20 +430,44 @@ def test_render_is_independent_of_the_block_layout(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("block_pixels", [1, 7, 96, 8192, 16384, 16385, 1 << 26])
 def test_row_blocks_are_the_fewest_even_blocks(monkeypatch, block_pixels):
+    # _classify_cells hands every failed pixel to the kernel once, its
+    # cells whole and in row-major order, in the fewest even batches of at
+    # most m = max(1, BLOCK_PIXELS // cell_pixels) cells: ceil(n / m) calls,
+    # all of as many cells as the first but the last.  All the cells of the
+    # smaller grids fail, 300 seeded ones of the larger; the recording
+    # kernel writes no labels or counts
     monkeypatch.setattr(plane, "BLOCK_PIXELS", block_pixels)
+    calls = []
+    monkeypatch.setattr(plane, "_classify_block",
+                        lambda p, pixels, idx, *args: calls.append(idx.copy()))
+    p = make_params(2.0, 0.3)
     rng = random.Random(96)
     shapes = [(1, 1), (1, MAX_RESOLUTION), (MAX_RESOLUTION, 1), (96, 96),
               (128, 128), (160, 160), (192, 192), (100, 165), (384, 384),
               (1024, 1024), (8192, 3), (3, 17)]
     shapes += [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(40)]
     for nx, ny in shapes:
-        rows = [range(ny)[s] for s in plane._row_blocks(nx, ny)]
-        assert [i for r in rows for i in r] == list(range(ny)), (nx, ny)
-        assert len(rows) == -(-ny // max(1, block_pixels // nx)), (nx, ny)
-        assert all(nx * len(r) <= max(block_pixels, nx) for r in rows), (nx, ny)
-        height = -(-ny // len(rows))
-        assert all(len(r) == height for r in rows[:-1]), (nx, ny)
-        assert 0 < len(rows[-1]) <= height, (nx, ny)
+        calls.clear()
+        tops, lefts = np.arange(0, ny, 8), np.arange(0, nx, 8)
+        n_cells = tops.size * lefts.size
+        failed = np.array(sorted(rng.sample(range(n_cells), min(n_cells, 300))))
+        h, wd = min(8, ny), min(8, nx)
+        cells = (tops[failed // lefts.size], lefts[failed % lefts.size], h, wd)
+        plane._classify_cells(p, np.arange(nx, dtype=float),
+                              np.arange(ny, dtype=float)[::-1], cells,
+                              np.zeros(0, np.uint8), np.zeros(0, np.int32), 10)
+        pixels = np.concatenate(calls)
+        assert np.array_equal(np.sort(pixels), cell_pixels(nx, ny, zip(*cells[:2]))), \
+            (nx, ny)
+        # the cells each call's pixels lie in, in order
+        called = [np.unique(idx // nx // 8 * lefts.size + idx % nx // 8) for idx in calls]
+        assert np.array_equal(np.concatenate(called), failed), (nx, ny)
+        most = max(1, block_pixels // (h * wd))
+        assert len(calls) == -(-failed.size // most), (nx, ny)
+        sizes = [c.size for c in called]
+        assert sizes[0] == -(-failed.size // len(calls)) <= most, (nx, ny)
+        assert all(size == sizes[0] for size in sizes[:-1]), (nx, ny)
+        assert 0 < sizes[-1] <= sizes[0], (nx, ny)
 
 
 def mirror(p):
@@ -616,8 +666,9 @@ def test_render_grid_holds_one_block():
     # failed cells are gathered and classified one batch at a time, beside
     # the 5 MiB grid (1 M uint8 labels and int32 counts): a whole-image mask
     # would add 1 MiB, an intp position or code array 8 MiB.  This peaks at
-    # 6.34 MiB, as the tile pass frees its cells' disks before it
-    # allocates the grid: with them held it peaked at 6.45 MiB.
+    # 6.44 MiB, as the tile pass frees its cells' disks before it allocates
+    # the grid and render_grid the failed cells' row and column of cells
+    # before the batches: with those held it peaked at 6.49 MiB.
     p = make_params(3.0, 0.4)
     window = Window(0j, 3.0, 3.0)
     render_grid(p, window, 64, 200)
