@@ -113,55 +113,45 @@ def classify_limit(p: MapParams, phi: float, max_iter: int = 10_000) -> LimitRep
     slow, so a single close pass is not trusted.
 
     An iterate gets only the map step while the float e = cur - a has
-    2 LIMIT_TOL < |e| < TAU - 2 LIMIT_TOL for every fixed angle a: the
-    arrival test's wrapped (cur - a) % TAU is then at least 2 LIMIT_TOL
-    less two ulps of TAU from 0, so that test would find no hit.
+    2 LIMIT_TOL < |e| < TAU - 2 LIMIT_TOL for every fixed angle a:
+    circle_dist(cur, a) is then at least 2 LIMIT_TOL less two ulps of TAU,
+    above LIMIT_TOL, so the arrival test would find no hit.
     """
     from .rays import Stability, fixed_rays  # local import avoids a cycle
 
     require_finite("classify_limit", "phi", phi)
     max_iter = require_count("classify_limit", "max_iter", max_iter, 0,
                              MAX_ORBIT_LEN)
-    targets = [(r.angle, r.stability) for r in fixed_rays(p).rays]
+    rays = fixed_rays(p).rays
 
-    # circle_map and circle_dist written out with the same float operations,
-    # so the report is bit-identical to calling them
+    # circle_map written out with the same float operations, so the report
+    # is bit-identical to calling it
     K, theta, pi, tol = p.K, p.theta, math.pi, LIMIT_TOL
     atan2, sin, cos = math.atan2, math.sin, math.cos
     # a cubic has at most three fixed angles; the gate reads only as many
     # as the map has, so the padding is never tested
-    a0, a1, a2 = ([ang for ang, _ in targets] * 3)[:3]
-    two, three = len(targets) > 1, len(targets) > 2
+    a0, a1, a2 = ([r.angle for r in rays] * 3)[:3]
+    two, three = len(rays) > 1, len(rays) > 2
     lo, hi = 2.0 * tol, TAU - 2.0 * tol
     cur = normalize_angle(phi)
-    streak_idx = -1
-    streak_len = 0
-    streak_start = 0
+    # the streak: the index of the ray being arrived at, -1 for none, and
+    # its first iterate
+    hit = start = -1
     for it in range(max_iter + 1):
         if lo < abs(cur - a0) < hi and (not two or lo < abs(cur - a1) < hi) \
                 and (not three or lo < abs(cur - a2) < hi):
-            streak_idx = -1  # a miss: the next hit starts a new streak
+            hit = -1  # a miss: the next hit starts a new streak
         else:
-            hit = -1
-            for i, (ang, _) in enumerate(targets):
-                d = (cur - ang) % TAU
-                if d > pi:
-                    d -= TAU
-                if abs(d) < tol:
-                    hit = i
-                    break
-            if hit >= 0 and hit == streak_idx:
-                streak_len += 1
-            else:
-                streak_idx = hit
-                streak_len = 1 if hit >= 0 else 0
-                streak_start = it
-            if streak_len >= LIMIT_CONFIRM:
-                ang, stab = targets[streak_idx]
-                if stab is Stability.REPELLING:
-                    return LimitReport(LimitOutcome.LANDED_ON_REPELLER, ang,
-                                       streak_start, cur)
-                return LimitReport(LimitOutcome.CONVERGED, ang, streak_start, cur)
+            i = next((i for i, r in enumerate(rays)
+                      if circle_dist(cur, r.angle) < tol), -1)
+            if i != hit:
+                hit, start = i, it
+            if hit >= 0 and it - start + 1 >= LIMIT_CONFIRM:
+                r = rays[hit]
+                outcome = (LimitOutcome.LANDED_ON_REPELLER
+                           if r.stability is Stability.REPELLING
+                           else LimitOutcome.CONVERGED)
+                return LimitReport(outcome, r.angle, start, cur)
         x = cur - theta
         cur = (2.0 * (theta + atan2(sin(x), K * cos(x)))) % TAU
         if cur > pi:
@@ -208,13 +198,11 @@ def _wrap(a: np.ndarray) -> np.ndarray:
 
 def _distinct_angles(a: np.ndarray) -> np.ndarray:
     """The angles of a, sorted, each float once (the first of -0.0 and 0.0
-    in sorted order), less the last one if it equals the first plus 2 pi:
-    np.unique's bytes, without its import of numpy.ma."""
+    in sorted order): np.unique's bytes, without its import of numpy.ma."""
     a = np.sort(a)
     first = np.ones(a.size, bool)  # the first of each run of equal angles
     first[1:] = a[1:] != a[:-1]
-    a = a[first]
-    return a[:-1] if a.size > 1 and a[0] + 2.0 * math.pi <= a[-1] else a
+    return a[first]
 
 
 def backward_tree(p: MapParams, phi: float, depth: int) -> BackwardTree:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MapParams, circle_dist, eval_H, modulus, normalize_angle,
-                   radial_stretch, require_count)
+from .core import (MapParams, circle_dist, eval_h, eval_H, modulus,
+                   normalize_angle, radial_stretch, require_count)
 from .circle import circle_map, require_fixed_angle
 from .errors import InvalidParameter, NumericalFailure
 
@@ -171,9 +171,9 @@ def _disk_step(p: MapParams, z, rho):
     """(z_{n+1}, |z_{n+1}|, rho_{n+1}) of _quiet_steps' disk recurrence
     from (z_n, rho_n), for a Python complex z and float rho or for numpy
     arrays of them alike."""
-    K, c, mu = p.K, 0.5 * (p.K + 1.0), p.mu
+    K = p.K
     eps = _step_eps(K)
-    h = c * (z + mu * z.conjugate())
+    h = eval_h(p, z)
     z = h * h
     m = abs(z)
     lr = K * (2.0 * abs(h) * (1.0 + eps) + K * rho) * rho
@@ -201,14 +201,14 @@ def _quiet_steps(p: MapParams, z: complex, rho: float, max_iter: int) -> int:
       |h(z_n)| known in floats to within a factor 1 + eps;
     - a float step is off by less than (2.3 K + 9) 2^-53 relative:
       mu conj(w) and the square are complex products, each within
-      sqrt(5) 2^-53 relative, c (.) and the add round within 2^-53 each,
-      and the add loses at most a factor (K + 1)/2 of the product's
-      rounding, because |w + mu conj(w)| >= (1 - |mu|) |w|; the steps of
-      w_n and of z_n together are then off by at most
+      sqrt(5) 2^-53 relative, the product by (K + 1)/2 and the add round
+      within 2^-53 each, and the add loses at most a factor (K + 1)/2 of
+      the product's rounding, because |w + mu conj(w)| >= (1 - |mu|) |w|;
+      the steps of w_n and of z_n together are then off by at most
       eps (|H(z_n)| + |H(w_n)|) <= eps (2 |z_{n+1}| + L rho_n), with eps
       over three times the bound;
     - the factor 1 + 2^-40 covers the second-order terms, the rounding of
-      c and mu (h's norm is K to a few ulps) and of this recurrence.
+      (K + 1)/2 and mu (h's norm is K to a few ulps) and of this recurrence.
     """
     lo, hi = r_attract(p) * (1.0 + 1e-9), R_ESCAPE * (1.0 - 1e-9)
     z, rho = complex(z), float(rho)

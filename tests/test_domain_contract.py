@@ -268,3 +268,26 @@ def test_plane_has_one_batch_size():
              for target in node.targets
              if isinstance(target, ast.Name) and target.id.endswith("_PIXELS")]
     assert names == ["BLOCK_PIXELS"]
+
+
+def test_every_cache_sits_behind_one_plain_public_function():
+    # the benchmark's tracer wraps plain functions only, so a public
+    # lru_cache object would drop its spans: each cached function is private
+    # and called by one undecorated public function of its module alone
+    cached = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for fn in defs:
+            if not any("lru_cache" in ast.unparse(d) for d in fn.decorator_list):
+                continue
+            cached.add(fn.name)
+            callers = [node for node in defs
+                       if any(isinstance(call, ast.Call)
+                              and ast.unparse(call.func) == fn.name
+                              for call in ast.walk(node))]
+            assert fn.name.startswith("_"), (path.name, fn.name)
+            assert len(callers) == 1, (path.name, fn.name)
+            assert not callers[0].name.startswith("_") \
+                and not callers[0].decorator_list, (path.name, callers[0].name)
+    assert {"_fixed_rays", "_k_theta", "_distance_series"} <= cached

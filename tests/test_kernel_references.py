@@ -669,18 +669,22 @@ def test_distinct_angles_drops_exact_duplicates_only():
         steps = rng.choice([0.0, 1.0, 2.0, 1e6], size=rng.integers(1, 40))
         a = rng.permutation(np.cumsum(steps) * 2.0 ** -52 - 1.0)
         assert _distinct_angles(a).tolist() == ref_dedup(sorted(a.tolist()))
-    # the wraparound duplicate of the first angle goes
-    a = np.array([-math.pi, 0.0, math.pi])
-    assert _distinct_angles(a).tolist() == ref_dedup(a.tolist()) == [-math.pi, 0.0]
-    # the bytes of np.unique, signs of zero included, with the wraparound
+    # the bytes of np.unique, signs of zero included, on angles in (-pi, pi]
     for _ in range(300):
-        a = rng.choice([0.0, -0.0, math.pi, -math.pi, 0.5, -0.5, 2.0],
-                       size=rng.integers(1, 40))
+        a = rng.choice([0.0, -0.0, math.pi, np.nextafter(-math.pi, 0.0), 0.5,
+                        -0.5, 2.0], size=rng.integers(1, 40))
         a[rng.random(a.size) < 0.3] = rng.uniform(-math.pi, math.pi)
-        want = np.unique(a)
-        if want.size > 1 and want[0] + 2.0 * math.pi <= want[-1]:
-            want = want[:-1]
-        assert _distinct_angles(a).tobytes() == want.tobytes(), a
+        assert _distinct_angles(a).tobytes() == np.unique(a).tobytes(), a
+
+
+def test_backward_tree_levels_lie_in_the_normalized_range():
+    # every level is reduced to (-pi, pi], so its first angle plus 2 pi is
+    # past its last and no angle is the wraparound duplicate of another
+    for p in regime_params(74):
+        for phi in (math.pi, -math.pi, 0.0, -0.0, 1e300):
+            for depth in range(9):
+                angles = backward_tree(p, phi, depth).angles
+                assert all(-math.pi < a <= math.pi for a in angles), (p, phi, depth)
 
 
 def test_backward_tree_near_reference():
@@ -816,6 +820,25 @@ def test_classify_limit_gate_bit_identical_at_wide_tolerances(monkeypatch, tol):
             phi = rng.uniform(-math.pi, math.pi)
             assert classify_limit(p, phi, max_iter=300) \
                 == ref_classify_limit(p, phi, max_iter=300, tol=tol)
+
+
+@pytest.mark.parametrize("confirm", [1, 2, 3])
+def test_classify_limit_streak_bit_identical_at_every_confirm(monkeypatch, confirm):
+    # a streak of one iterate reports at once; longer ones break and start
+    # afresh at starts on and beside each fixed angle
+    monkeypatch.setattr(circle, "LIMIT_CONFIRM", confirm)
+    rng = random.Random(77)
+    for p in regime_params(77):
+        for _ in range(3):
+            phi = rng.uniform(-math.pi, math.pi)
+            assert classify_limit(p, phi, max_iter=1500) \
+                == ref_classify_limit(p, phi, max_iter=1500, confirm=confirm)
+        for ray in fixed_rays(p).rays:
+            for k in (0.0, 1.0, 2.0):
+                for phi in {ray.angle + k * LIMIT_TOL, ray.angle - k * LIMIT_TOL}:
+                    for max_iter in (0, 1, 4, 5, 6, 50):
+                        assert classify_limit(p, phi, max_iter) \
+                            == ref_classify_limit(p, phi, max_iter, confirm=confirm)
 
 
 def test_julia_sample_bit_identical_to_reference():
