@@ -3,9 +3,8 @@
 The dilatation of H^n is mu pushed through a chain of n - 1 disk
 automorphisms, each applied as the unnormalized factor
 w -> (s w + b)/(conj(b) w + conj(s)) with |s| = 1 and b = mu/s; on a fixed
-ray phi every factor is the one map with s = e^{-i phi/2}, whose squared
-trace, normalized, is rays.trace_sq_of_angle(K, phi).  A hyperbolic map
-(tr^2 > 4) is conjugate to z -> k z on the half plane with k =
+ray phi every factor is the one map with s = e^{-i phi/2}.  A hyperbolic
+map (tr^2 > 4) is conjugate to z -> k z on the half plane with k =
 contraction_k(tr^2) < 1.
 """
 
@@ -30,11 +29,19 @@ MAX_CHAIN_LEN = 1_000_000
 
 
 def contraction_k(T: float) -> float:
-    """Half-plane contraction factor of a hyperbolic map with tr^2 = T; unlike
-    (T - 2 - sqrt(T^2 - 4T))/2 this form does not cancel at large T."""
+    """Half-plane contraction factor of a hyperbolic map with tr^2 = T."""
     if not T > 4.0:
         raise InvalidParameter(f"need tr^2 > 4 for a hyperbolic map, got {T}")
-    return 2.0 / (T - 2.0 + math.sqrt(T) * math.sqrt(T - 4.0))
+    return _half_plane_k(math.sqrt(T - 4.0), T)
+
+
+def _half_plane_k(s: float, T: float) -> float:
+    """The root k <= 1 of k + 1/k + 2 = T, given s = sqrt(T - 4) >= 0, as
+    (2/(s + sqrt T))^2.  Unlike (T - 2 - s sqrt T)/2 it does not cancel at
+    large T, and unlike 2/(T - 2 + s sqrt T) it does not overflow there;
+    a fixed ray takes s from its closed form, which keeps T - 4 where T
+    has rounded to 4."""
+    return (2.0 / (s + math.sqrt(T))) ** 2
 
 
 # the most recent walk from a complex start: (p, phi0, phases, g) with phi0

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .core import MapParams, normalize_angle
 from .circle import circle_map_deriv, is_fixed_angle
 from .errors import InvalidParameter, NumericalFailure
-from .mobius import contraction_k
+from .mobius import _half_plane_k
 
 
 class Stability(enum.Enum):
@@ -140,26 +140,14 @@ def _cubic_roots(coeffs, F: Fraction, band: float
     return Regime.ONE_REPELLING, [(_root(coeffs, lo, hi), rep)]
 
 
-def trace_sq_of_angle(K: float, phi: float) -> float:
-    """Squared trace of the dilatation Mobius map of the fixed ray at phi.
-
-    Raises InvalidParameter where it is not a finite number, as for K from
-    about 1e154 on, where (K + 1)^2 (1 + cos phi) overflows."""
-    try:
-        T = (K + 1.0) ** 2 * (1.0 + math.cos(phi)) / (2.0 * K)
-    except (ArithmeticError, ValueError):
-        T = math.nan
-    if not math.isfinite(T):
-        raise InvalidParameter(f"trace_sq is not finite at K={K!r}, phi={phi!r}")
-    return T
-
-
 def _make_ray(p: MapParams, phi: float, stab: Stability) -> FixedRay:
-    T = trace_sq_of_angle(p.K, phi)
-    # tr^2 <= 4 (no contraction) does occur, e.g. for K within 1e-9 of 1
-    k = contraction_k(T) if T > 4.0 else 1.0
+    """The ray at the fixed angle phi, with tr^2 of its Mobius factor from
+    sqrt(T - 4) = (K - 1)|cos(2 theta - 3 phi/2)|/sqrt K, which has no
+    subtraction: T - 4 vanishes only on the parabolic curve, where k = 1."""
+    s = (p.K - 1.0) * abs(math.cos(2.0 * p.theta - 1.5 * phi)) / math.sqrt(p.K)
+    T = 4.0 + s * s
     return FixedRay(angle=phi, multiplier=circle_map_deriv(p, phi),
-                    stability=stab, trace_sq=T, contraction_k=k)
+                    stability=stab, trace_sq=T, contraction_k=_half_plane_k(s, T))
 
 
 def fixed_rays(p: MapParams) -> RegimeReport:

@@ -15,8 +15,9 @@ import decimal
 from decimal import Decimal
 
 
-def cos_sin(theta: float) -> tuple[Decimal, Decimal]:
-    """cos and sin of the float theta, |theta| <= pi/2, to 60 digits."""
+def cos_sin(theta: float | Decimal) -> tuple[Decimal, Decimal]:
+    """cos and sin of theta, a float or Decimal with |theta| <= pi/2, to 60
+    digits."""
     x = Decimal(theta)
     cs = [Decimal(0), Decimal(0)]
     term = Decimal(1)

@@ -19,6 +19,7 @@ import cmath
 import dataclasses
 import enum
 import math
+import re
 import types
 from pathlib import Path
 
@@ -291,3 +292,31 @@ def test_every_cache_sits_behind_one_plain_public_function():
             assert not callers[0].name.startswith("_") \
                 and not callers[0].decorator_list, (path.name, callers[0].name)
     assert {"_fixed_rays", "_k_theta", "_distance_series"} <= cached
+
+
+def test_every_function_and_class_has_a_caller():
+    # code with no caller goes: each module-level function and class of
+    # qrdyn is exported, a console script (cli.main), named inside another
+    # qrdyn function, or called by the benchmark (circle.converged_fraction,
+    # which the survey times)
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else node.attr
+
+    init = ast.parse((SRC / "__init__.py").read_text())
+    kept = {a.name for node in init.body if isinstance(node, ast.ImportFrom)
+            for a in node.names}
+    project = (SRC.parents[1] / "pyproject.toml").read_text()
+    kept |= set(re.findall(r'"qrdyn\.\w+:(\w+)"', project))
+    for path in sorted((SRC.parents[1] / "bench").glob("*.py")):
+        kept |= {name(node.func) for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, (ast.Name, ast.Attribute))}
+    defined, named = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        named |= {name(node) for node, fn in nodes_in_functions(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and fn not in ("<module>", name(node))}
+    assert [d for d in defined if d[1] not in kept | named] == []

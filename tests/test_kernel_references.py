@@ -26,8 +26,11 @@ arithmetic that changed:
   normalized inverses: within 1e-12 max(1, d) for n <= 200;
 - classify_point is a one-element _classify_block: the same (label, n) as
   the scalar loop;
-- trace_sq_of_angle checks that its result is finite: the same bits
-  wherever the formula gave a finite number;
+- a fixed ray's trace_sq is 4 + (K-1)^2 cos^2(2 theta - 3 phi/2)/K, which
+  has no subtraction, where the reference's (K+1)^2 (1 + cos phi)/(2K)
+  cancels near 4: at a float angle the two differ by
+  (K+1)^2/K f (f - 2 sin(phi/2)), f = sin(phi/2) + |mu| sin(2 theta -
+  3 phi/2) the residual of the fixed-ray equation, and by their rounding;
 - fixed_rays returns the report cached for its map: the same bits as the
   uncached body computing it afresh;
 - fixed_rays decides the regime from the exact sign of the quartic F and
@@ -36,9 +39,11 @@ arithmetic that changed:
   flat 1e-8: wherever the reference returns a report, the same regime and
   stabilities, angles within 1e-12, and neutral angles, now the critical
   point instead of a mean of nearby roots, within 1e-6;
-- contraction_k is 2/(T - 2 + sqrt(T) sqrt(T - 4)), not
+- contraction_k is (2/(s + sqrt T))^2 with s = sqrt(T - 4), not
   (T - 2 - sqrt(T^2 - 4T))/2: the two differ by no more than the rounding
-  error of the latter, which grows as eps T^2/(4 sqrt(T (T - 4)));
+  error of the latter, which grows as eps T^2/(4 sqrt(T (T - 4))), and a
+  fixed ray, whose s is taken before T rounds, by eps T/sqrt(T (T - 4))
+  more;
 - write_ppm colours and writes one block of rows at a time instead of the
   whole image at once: the same bytes;
 - render_grid steps eval_H's operations, in eval_H's operand order, on
@@ -88,7 +93,7 @@ from qrdyn.plane import (BLOCK_PIXELS, MAX_RESOLUTION, PlaneGrid, PointClass, Po
                          render_grid, write_ppm)
 from qrdyn.rays import (FixedRay, Regime, RegimeReport, Stability,
                         _fixed_rays, cubic_coeffs, fixed_rays, k_theta,
-                        theta_of_K, trace_sq_of_angle)
+                        theta_of_K)
 from circle_inverse import circle_preimages
 from disk_mobius import (DiskMobius, fixed_ray_mobius, hyperbolic_dist,
                          mobius_apply)
@@ -353,12 +358,14 @@ def ref_contraction_k(T):
 
 
 def ref_contraction_error(T):
-    """Bound on |ref_contraction_k(T) - contraction_k(T)|: the former's
-    rounding, eps T^2 in T*T - 4T taken through the square root s and
-    eps (T + s) / 2 from the rest, plus the latter's of a few eps."""
+    """Bound on |ref_contraction_k(T) - k| for the contraction_k k of a
+    fixed ray with trace_sq T: the former's rounding, eps T^2 in T*T - 4T
+    taken through the square root s and eps (T + s) / 2 from the rest, the
+    latter's of a few eps, and the rounding of T = 4 + sqrt(T - 4)^2, up to
+    eps T, which k does not see: through |dk/dT| = k/s <= 1/s, eps T/s."""
     eps = np.finfo(float).eps
     s = math.sqrt(T * T - 4.0 * T)
-    return eps * (T * T / (4.0 * s) + T + 2.0)
+    return eps * (T * T / (4.0 * s) + T / s + T + 2.0)
 
 
 NEUTRAL_BAND = 1e-9      # |H~' - 1| below this is neutral
@@ -426,7 +433,7 @@ def ref_make_ray(p, phi, mult):
         stab = Stability.ATTRACTING
     else:
         stab = Stability.REPELLING
-    T = trace_sq_of_angle(p.K, phi)
+    T = ref_trace_sq_of_angle(p.K, phi)
     k = ref_contraction_k(T) if T > 4.0 else 1.0
     return FixedRay(angle=phi, multiplier=m, stability=stab,
                     trace_sq=T, contraction_k=k)
@@ -847,12 +854,25 @@ def test_julia_sample_bit_identical_to_reference():
 
 
 def test_trace_sq_of_angle_bit_identical_to_reference():
-    rng = random.Random(80)
-    for p in regime_params(80):
-        phis = [r.angle for r in fixed_rays(p).rays]
-        phis += [rng.uniform(-math.pi, math.pi) for _ in range(20)] + [math.pi]
-        for phi in phis:
-            assert trace_sq_of_angle(p.K, phi) == ref_trace_sq_of_angle(p.K, phi)
+    # at a float angle the closed form and the reference differ by
+    # w f (f - 2 sin(phi/2)), w = (K+1)^2/K; f in floats is within
+    # 5 eps + a of f, a = eps (|2 theta| + |1.5 phi|) being the rounding of
+    # 2 theta - 1.5 phi.  The reference rounds to 3 eps T plus eps w/2 from
+    # cos phi, and trace_sq to eps T plus (8 eps + 4 a) w, as s = sqrt(T - 4)
+    # <= (K-1)/sqrt K is within (4 eps + 2 a) of it (test_rays)
+    eps = sys.float_info.epsilon
+    rays = 0
+    for p in regime_params(80, n=200):
+        m = (p.K - 1.0) / (p.K + 1.0)
+        w = (p.K + 1.0) ** 2 / p.K
+        for r in fixed_rays(p).rays:
+            a = eps * (abs(2.0 * p.theta) + abs(1.5 * r.angle))
+            f = abs(math.sin(0.5 * r.angle)
+                    + m * math.sin(2.0 * p.theta - 1.5 * r.angle)) + 5.0 * eps + a
+            bound = 4.0 * eps * r.trace_sq + w * (9.0 * eps + 5.0 * a + f * (f + 2.0))
+            assert abs(r.trace_sq - ref_trace_sq_of_angle(p.K, r.angle)) <= bound, p
+            rays += 1
+    assert rays > 1000
 
 
 def test_cached_fixed_rays_bit_identical_to_fresh():

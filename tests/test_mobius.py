@@ -15,7 +15,7 @@ from qrdyn.errors import InvalidParameter, ResourceLimit
 from qrdyn.mobius import (MAX_CHAIN_LEN, contraction_k, dilatation_chain,
                           dilatation_distance_series, dilatation_on_ray,
                           growth_fit)
-from qrdyn.rays import Regime, fixed_rays, k_theta, trace_sq_of_angle
+from qrdyn.rays import Regime, fixed_rays, k_theta
 from disk_mobius import (DiskMobius, fixed_ray_mobius, hyperbolic_dist,
                          mobius_apply)
 
@@ -79,17 +79,18 @@ def test_contraction_examples():
 
 
 def test_contraction_matches_its_exact_value():
-    # (T - 2 - sqrt(T^2 - 4T))/2 in 80 digits; the same expression in floats
-    # lost eps T^2 of relative accuracy and returned 0 from T ~ 1e8, and
-    # fixed_rays reports tr^2 up to about 2.4e16
+    # 2/(T - 2 + sqrt(T^2 - 4T)) in 80 digits.  (T - 2 - sqrt(T^2 - 4T))/2
+    # in floats lost eps T^2 of relative accuracy and returned 0 from
+    # T ~ 1e8, and fixed_rays reports tr^2 up to about 2.4e16;
+    # 2/(T - 2 + sqrt T sqrt(T - 4)) overflowed to 0 from T ~ 9e307 on
     rng = random.Random(25)
     eps = sys.float_info.epsilon
-    for _ in range(2000):
-        T = 4.0 + 10 ** rng.uniform(-14.0, 16.5)
+    Ts = [4.0 + 10 ** rng.uniform(-14.0, 16.5) for _ in range(2000)]
+    for T in Ts + [9e307, 1e308, 1.7e308]:
         with decimal.localcontext() as ctx:
             ctx.prec = 80
             D = decimal.Decimal(T)
-            exact = (D - 2 - (D * D - 4 * D).sqrt()) / 2
+            exact = 2 / (D - 2 + (D * D - 4 * D).sqrt())
             assert abs(decimal.Decimal(contraction_k(T)) - exact) \
                 <= decimal.Decimal(4.0 * eps) * exact, T
 
@@ -101,11 +102,10 @@ def test_fixed_ray_mobius_hyperbolic_with_expected_trace():
                         rng.uniform(-math.pi / 2, math.pi / 2))
         for r in fixed_rays(p).rays:
             # the squared trace of the normalized matrix is the closed form
-            # the rays carry, and exceeds 4
+            # the rays carry
             T = 4.0 * fixed_ray_mobius(p, r.angle).a.real ** 2
-            assert T == pytest.approx(trace_sq_of_angle(p.K, r.angle), rel=1e-10)
-            assert r.trace_sq == trace_sq_of_angle(p.K, r.angle)
-            assert T > 4.0
+            assert T == pytest.approx(r.trace_sq, rel=1e-10)
+            assert 0.0 < r.contraction_k < 1.0
 
 
 def test_fixed_ray_mobius_rejects_non_fixed_angle():

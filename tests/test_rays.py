@@ -1,8 +1,11 @@
+import decimal
 import importlib.util
 import inspect
 import math
 import random
 import re
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -13,12 +16,11 @@ from qrdyn.circle import (circle_map, circle_map_deriv, classify_limit,
                           is_fixed_angle, require_fixed_angle)
 from qrdyn.core import circle_dist, make_params
 from qrdyn.errors import InvalidParameter, NumericalFailure
-from qrdyn.mobius import contraction_k
 from qrdyn.obstruct import obstruction_report
 from qrdyn.rays import (Regime, Stability, _cubic_roots, _fixed_rays,
                         _k_theta, cubic_coeffs, fixed_rays, interval_J,
-                        k_theta, theta_of_K, trace_sq_of_angle)
-from quartic_oracle import exact_regime
+                        k_theta, theta_of_K)
+from quartic_oracle import cos_sin, exact_regime
 
 RAY_COUNT = {"one_repelling": 1, "one_parabolic": 1,
              "two_with_neutral": 2, "three": 3}
@@ -176,18 +178,14 @@ def test_regimes_across_bifurcation():
 
 
 def test_trace_sq_formula():
-    assert trace_sq_of_angle(2.0, 0.0) == pytest.approx(4.5)
-    assert trace_sq_of_angle(4.0, 0.0) == pytest.approx(6.25)
-
-
-@pytest.mark.parametrize("K,phi", [(1e200, 0.0), (1.5e154, 0.5), (1e154, 0.0),
-                                   (2.0, math.inf), (math.nan, 0.0)])
-def test_trace_sq_not_finite_is_invalid_parameter(K, phi):
-    # (K + 1)^2 overflows from K of about 1.3e154 on: that was a bare
-    # OverflowError, and an inf product was returned as trace_sq
-    with pytest.raises(InvalidParameter) as e:
-        trace_sq_of_angle(K, phi)
-    assert f"K={K!r}, phi={phi!r}" in str(e.value)
+    # theta = 0, phi = 0: T = 4 + (K-1)^2/K = (K+1)^2/K, and k = 1/K solves
+    # k + 1/k + 2 = T
+    rays = {K: {r.angle: r for r in fixed_rays(make_params(K, 0.0)).rays}[0.0]
+            for K in (2.0, 4.0)}
+    assert rays[2.0].trace_sq == pytest.approx(4.5)
+    assert rays[4.0].trace_sq == pytest.approx(6.25)
+    assert rays[2.0].contraction_k == pytest.approx(0.5)
+    assert rays[4.0].contraction_k == pytest.approx(0.25)
 
 
 def test_interval_J():
@@ -249,11 +247,9 @@ def load_workloads():
     return module
 
 
-def test_fixed_rays_at_large_K():
-    # the float nearest a fixed angle leaves a residual of about
-    # H~'(phi) * eps, and H~' reaches about 2K: a flat 1e-8 bound on the
-    # residual failed the first map below (multiplier 1.96e8, residual 4.9e-8)
-    # and most maps with K above about 10^7.5
+def large_K_maps() -> list:
+    """Maps with K from 1e4 to 10^15.5, many of them near K_theta or near
+    theta = +-pi/2."""
     rng = random.Random(2)
     maps = [make_params(172967547.29136255, 0.13268767588785568)]
     maps += [make_params(10 ** rng.uniform(4.0, 15.0), rng.uniform(-1.5, 1.5))
@@ -283,9 +279,17 @@ def test_fixed_rays_at_large_K():
         theta = math.pi / 2 - 10 ** rng.uniform(-8.0, -1.0)
         maps.append(make_params(10 ** rng.uniform(4.0, 15.5),
                                 theta * rng.choice((1.0, -1.0))))
+    return maps
+
+
+def test_fixed_rays_at_large_K():
+    # the float nearest a fixed angle leaves a residual of about
+    # H~'(phi) * eps, and H~' reaches about 2K: a flat 1e-8 bound on the
+    # residual failed the first of large_K_maps (multiplier 1.96e8, residual
+    # 4.9e-8) and most maps with K above about 10^7.5
     W = load_workloads()
     at_bifurcation = 0
-    for p in maps:
+    for p in large_K_maps():
         rep = _fixed_rays.__wrapped__(p)
         assert rep.regime.value == exact_regime(p.K, p.theta), p
         # the benchmark's oracle, the sign of K - K_theta from its own
@@ -296,14 +300,94 @@ def test_fixed_rays_at_large_K():
         for r in rep.rays:
             require_fixed_angle(p, r.angle)
             assert r.multiplier == circle_map_deriv(p, r.angle)
-            assert r.trace_sq == trace_sq_of_angle(p.K, r.angle)
-            # contraction_k is pinned to its exact value in test_mobius
-            if r.trace_sq > 4.0:
-                assert r.contraction_k == contraction_k(r.trace_sq)
-                assert 0.0 < r.contraction_k < 1.0, p
-            else:
-                assert r.contraction_k == 1.0
+            # trace_sq and contraction_k are pinned to their exact values
+            # in test_trace_sq_and_contraction_match_their_exact_values
+            assert 0.0 < r.contraction_k < 1.0, p
     assert at_bifurcation == 517
+
+
+def cos_decimal(x: Decimal) -> Decimal:
+    """cos x for |x| <= 8, where quartic_oracle.cos_sin's series would not
+    converge: the series at x/8, then three double-angle steps, each of
+    which at most quadruples an absolute error of 1e-60."""
+    c, s = cos_sin(x / 8)
+    for _ in range(3):
+        c, s = 2 * c * c - 1, 2 * s * c
+    return c
+
+
+def exact_ray_bounds(p, r):
+    """(s, E, k, rel): the 60-digit s = sqrt(T - 4) = (K-1)|cos x|/sqrt K
+    with x = 2 theta - 3 phi/2 at the ray's float angle phi, the bound E on
+    the library's error in s, the 60-digit k = (2/(s + sqrt(4 + s^2)))^2,
+    and the bound rel on the library's relative error in k.
+
+    With u = eps/2, the float x is 2 theta - 1.5 phi rounded twice, off by
+    at most a = eps (|2 theta| + |1.5 phi|), which moves |cos x| by at most
+    a.  cos is within an ulp, and K - 1, the product, sqrt K and the
+    quotient round once each: 6u relative in all.  So the library's s is
+    within E = 4 eps s + 2 a (K-1)/sqrt K.  trace_sq = 4 + s^2 rounds twice,
+    by at most eps T, so |trace_sq - 4 - s^2| <= E (2 s + E) + eps T.
+    k = (2/(s + sqrt T))^2 rounds sqrt, sum, quotient and square, 7u
+    relative, and the rounding of T moves sqrt T by u more, 2u in k: 4.5 eps.
+    d log k/ds = -2/sqrt(4 + s^2), so the error in s adds
+    2 E/sqrt(4 + (s - E)^2) at most (s - E taken as 0 when negative)."""
+    eps = sys.float_info.epsilon
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        K = Decimal(p.K)
+        x = 2 * Decimal(p.theta) - Decimal(1.5) * Decimal(r.angle)
+        s = (K - 1) * abs(cos_decimal(x)) / K.sqrt()
+        k = (2 / (s + (4 + s * s).sqrt())) ** 2
+    a = eps * (abs(2.0 * p.theta) + abs(1.5 * r.angle))
+    s_f = float(s)
+    E = 4.0 * eps * s_f + 2.0 * a * (p.K - 1.0) / math.sqrt(p.K)
+    rel = 4.5 * eps + 2.0 * E / math.sqrt(4.0 + max(s_f - E, 0.0) ** 2)
+    return s, E, k, rel
+
+
+def test_trace_sq_and_contraction_match_their_exact_values():
+    # trace_sq was (K+1)^2 (1 + cos phi)/(2K), which cancels to an error of
+    # about eps T in T - 4, and contraction_k fell back to 1.0 wherever that
+    # T was not above 4: on hyperbolic rays with K - 1 up to about 2.4e-5
+    rng = random.Random(31)
+    maps = [make_params(1.0 + 10 ** rng.uniform(-8.0, 4.0),
+                        rng.uniform(-math.pi / 2, math.pi / 2))
+            for _ in range(2000)]
+    eps = sys.float_info.epsilon
+    rays = 0
+    for p in maps + large_K_maps():
+        for r in fixed_rays(p).rays:
+            s, E, k, rel = exact_ray_bounds(p, r)
+            s_f = float(s)
+            assert r.trace_sq >= 4.0
+            err = abs(Decimal(r.trace_sq) - 4 - s * s)
+            assert err <= Decimal(E * (2.0 * s_f + E) + eps * r.trace_sq), (p, r)
+            assert abs(Decimal(r.contraction_k) - k) <= Decimal(rel) * k, (p, r)
+            # only a ray on the parabolic curve, within the bound of it,
+            # has no contraction
+            assert r.contraction_k < 1.0 or 1 - k <= Decimal(rel), (p, r)
+            rays += 1
+    assert rays > 10000
+
+
+@pytest.mark.parametrize("K", [1.5, 3.0, 10.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fixed_ray_on_the_parabolic_curve(K, sign):
+    # T - 4 = (K-1)^2 cos^2(2 theta - 3 phi/2)/K vanishes where the fixed
+    # ray's equation sin(phi/2) = -|mu| sin(2 theta - 3 phi/2) holds with
+    # sin(2 theta - 3 phi/2) = +-1: at phi = -+2 asin|mu| in the direction
+    # theta = +-(pi/4 - (3/2) asin|mu|), which is 0 at K = 3.  The mirror
+    # rays of (3, 0) reported trace_sq 4.000000000000001 and 4.0, and
+    # contraction_k 0.99999997 and 1.0
+    a = math.asin((K - 1.0) / (K + 1.0))
+    p = make_params(K, sign * (math.pi / 4 - 1.5 * a))
+    r = min(fixed_rays(p).rays, key=lambda r: circle_dist(r.angle, -sign * 2 * a))
+    assert circle_dist(r.angle, -sign * 2 * a) < 1e-12
+    s, _, _, rel = exact_ray_bounds(p, r)
+    assert r.trace_sq == 4.0
+    # 1 - k <= -log k = 2 asinh(s/2) <= s exactly
+    assert 0.0 <= 1.0 - r.contraction_k <= float(s) + rel
 
 
 def test_fixed_rays_agree_with_the_sign_of_F():
